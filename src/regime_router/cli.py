@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="materialize every text the pipeline can request")
     p.add_argument("--dataset", required=True)
     p.add_argument("--store", required=True, help="vector store file (created or extended)")
-    p.add_argument("--cache", help="JSON cache file for raw provider vectors")
+    p.add_argument("--cache", help="append-only binary cache file of raw provider vectors")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="count missing embeddings without network access")
     _add_config_flags(p)

@@ -17,6 +17,17 @@ Text ids are namespaced to keep questions, passages, and derived texts
                                            when a bridge body is embedded
                                            as a query-side text)
     t::<sha256-24>   any derived text     (query mode)
+
+Embed cache format: an append-only record log. The file starts with the
+magic bytes ``RGRC1``; each record is a 32-byte sha256 key, a u32
+little-endian dimension, then the raw provider vector as dim x f64
+little-endian. The key is the sha256 of the model name, the mode and the
+exact string sent to the provider (mode prefix included), so changing any
+of them is a cache miss. Raw values stay f64 so that a vector served from
+the cache is bit-identical to the one the provider returned. Opening the
+cache reads every whole record; a torn last record (a crash mid-append)
+is dropped and cut off before the next append. A file without the magic
+(for example a legacy JSON cache) is rejected and never overwritten.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 import threading
 import time
@@ -36,6 +48,8 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 MAGIC = b"RGRV1"
+CACHE_MAGIC = b"RGRC1"
+_CACHE_HEADER = struct.Struct("<32sI")
 MODE_QUERY = "query"
 MODE_DOC = "doc"
 _MODE_TO_BYTE = {MODE_QUERY: 0, MODE_DOC: 1}
@@ -136,19 +150,30 @@ class VectorStore:
 
 
 def save_vectors(store: VectorStore, path: Path | str) -> None:
-    """Write the binary format; records sorted by (id, mode) for determinism."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", store.dim))
-        for (text_id, mode) in sorted(store.keys()):
-            vec = store.get(text_id, mode)
-            id_bytes = text_id.encode("utf-8")
-            if len(id_bytes) > 0xFFFF:
-                raise VectorFormatError(f"id too long ({len(id_bytes)} bytes)")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<B", _MODE_TO_BYTE[mode]))
-            fh.write(vec.astype("<f4").tobytes())
+    """Write the binary format; records sorted by (id, mode) for determinism.
+
+    The file is written beside ``path`` and renamed over it, so a failure
+    mid-write leaves any previous store intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", store.dim))
+            for (text_id, mode) in sorted(store.keys()):
+                vec = store.get(text_id, mode)
+                id_bytes = text_id.encode("utf-8")
+                if len(id_bytes) > 0xFFFF:
+                    raise VectorFormatError(f"id too long ({len(id_bytes)} bytes)")
+                fh.write(struct.pack("<H", len(id_bytes)))
+                fh.write(id_bytes)
+                fh.write(struct.pack("<B", _MODE_TO_BYTE[mode]))
+                fh.write(vec.astype("<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_vectors(path: Path | str) -> VectorStore:
@@ -208,12 +233,40 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float):
     return resp.json()
 
 
+def _read_cache(path: Path) -> tuple[dict[bytes, np.ndarray], int]:
+    """Every whole record of an embed cache, and the offset where they end.
+
+    A torn last record is left out; so is a torn magic, whose file holds no
+    record yet (offset 0). A file that does not start with the magic raises.
+    """
+    data = path.read_bytes()
+    if not data.startswith(CACHE_MAGIC):
+        if CACHE_MAGIC.startswith(data):
+            return {}, 0
+        raise VectorFormatError(
+            f"{path} is not an embed cache (no {CACHE_MAGIC.decode()} magic; legacy JSON caches are not read)"
+        )
+    entries: dict[bytes, np.ndarray] = {}
+    off = len(CACHE_MAGIC)
+    while off + _CACHE_HEADER.size <= len(data):
+        key, dim = _CACHE_HEADER.unpack_from(data, off)
+        end = off + _CACHE_HEADER.size + 8 * dim
+        if end > len(data):
+            break
+        # Copied out of the buffer: records sit at unaligned offsets.
+        entries[key] = np.frombuffer(data, dtype="<f8", count=dim, offset=off + _CACHE_HEADER.size).copy()
+        off = end
+    return entries, off
+
+
 class EmbeddingClient:
     """Batched, cached, retrying client for the provider HTTP contract.
 
     POST JSON {"model", "input": [...], "mode"} -> {"vectors": [[...], ...]}.
-    The cache file maps (sha256(text), mode, model) to the raw vector, so
-    repeat fetches make no network calls. ``calls`` counts HTTP requests.
+    The cache maps sha256(model, mode, exact string sent) to the raw
+    vector, so repeat fetches make no network calls, and every batch is
+    appended to the cache file as soon as it and the batches before it
+    have completed. ``calls`` counts HTTP requests.
     """
 
     def __init__(self, cfg: EmbedProviderConfig, cache_path: Path | str | None = None, transport=None) -> None:
@@ -222,31 +275,25 @@ class EmbeddingClient:
         self._transport = transport or _requests_transport
         self._lock = threading.Lock()
         self.calls = 0
-        self._cache: dict[str, list[float]] = {}
+        self._cache: dict[bytes, np.ndarray] = {}
+        # Length of the file's whole records, until the first append cuts it there.
+        self._cache_end: int | None = None
         if self.cache_path and self.cache_path.exists():
-            self._cache = json.loads(self.cache_path.read_text(encoding="utf-8"))
+            self._cache, self._cache_end = _read_cache(self.cache_path)
 
-    def _cache_key(self, text: str, mode: str) -> str:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return f"{digest}|{mode}|{self.cfg.model_name}"
+    def _cache_key(self, sent: str, mode: str) -> bytes:
+        return hashlib.sha256(json.dumps([self.cfg.model_name, mode, sent]).encode("utf-8")).digest()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
         if self.cfg.auth_env_var:
-            import os
-
             token = os.environ.get(self.cfg.auth_env_var, "")
             if token:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _post_batch(self, texts: list[str], mode: str) -> list[list[float]]:
-        prefix = self.cfg.mode_instructions.get(mode, "")
-        payload = {
-            "model": self.cfg.model_name,
-            "input": [prefix + t for t in texts],
-            "mode": mode,
-        }
+    def _post_batch(self, inputs: list[str], mode: str) -> list[list[float]]:
+        payload = {"model": self.cfg.model_name, "input": inputs, "mode": mode}
         last_exc: Exception | None = None
         for attempt in range(self.cfg.max_retries + 1):
             try:
@@ -262,17 +309,27 @@ class EmbeddingClient:
         else:  # pragma: no cover - loop always breaks or raises
             raise TransportError(str(last_exc))
         vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise ProviderError(f"provider returned {0 if vectors is None else len(vectors)} vectors for {len(texts)} inputs")
+        if not isinstance(vectors, list) or len(vectors) != len(inputs):
+            raise ProviderError(f"provider returned {0 if vectors is None else len(vectors)} vectors for {len(inputs)} inputs")
         return vectors
 
-    def _write_cache(self) -> None:
-        if not self.cache_path:
+    def _remember(self, records: list[tuple[bytes, np.ndarray]]) -> None:
+        """Cache raw vectors in memory and append the new ones to the file (lock held)."""
+        fresh = []
+        for key, raw in records:
+            if key not in self._cache:
+                self._cache[key] = raw
+                fresh.append(_CACHE_HEADER.pack(key, raw.size) + raw.astype("<f8").tobytes())
+        if not self.cache_path or not fresh:
             return
         try:
-            tmp = self.cache_path.with_suffix(self.cache_path.suffix + ".tmp")
-            tmp.write_text(json.dumps(self._cache), encoding="utf-8")
-            tmp.replace(self.cache_path)
+            if self._cache_end is not None:
+                os.truncate(self.cache_path, self._cache_end)
+                self._cache_end = None
+            with open(self.cache_path, "ab") as fh:
+                if fh.tell() == 0:
+                    fh.write(CACHE_MAGIC)
+                fh.write(b"".join(fresh))
         except OSError as exc:
             logger.warning("embedding cache write failed: %s", exc)
 
@@ -280,37 +337,51 @@ class EmbeddingClient:
         """One normalized vector per text, order-aligned with the input."""
         if mode not in _MODE_TO_BYTE:
             raise ValueError(f"unknown mode {mode!r}")
+        prefix = self.cfg.mode_instructions.get(mode, "")
+        sent = [prefix + t for t in texts]
+        keys = [self._cache_key(s, mode) for s in sent]
         results: list[np.ndarray | None] = [None] * len(texts)
         missing: list[int] = []
-        for i, text in enumerate(texts):
-            cached = self._cache.get(self._cache_key(text, mode))
+        for i, key in enumerate(keys):
+            cached = self._cache.get(key)
             if cached is not None:
                 results[i] = _normalize(cached, expected_dim)
             else:
                 missing.append(i)
 
-        if missing:
-            batches: list[list[int]] = [
-                missing[lo : lo + self.cfg.batch_size]
-                for lo in range(0, len(missing), self.cfg.batch_size)
-            ]
-            def run(batch: list[int]) -> tuple[list[int], list[list[float]]]:
-                return batch, self._post_batch([texts[i] for i in batch], mode)
+        batches = [missing[lo : lo + self.cfg.batch_size] for lo in range(0, len(missing), self.cfg.batch_size)]
+        # Completed batches wait here until every earlier batch has been
+        # cached, so the file's bytes do not depend on parallelism.
+        done: dict[int, list[tuple[bytes, np.ndarray]]] = {}
+        next_batch = 0
 
+        def run(b: int) -> None:
+            nonlocal next_batch
+            batch = batches[b]
+            vectors = self._post_batch([sent[i] for i in batch], mode)
+            raws = [np.asarray(raw, dtype=float).reshape(-1) for raw in vectors]
+            dim = expected_dim if expected_dim is not None else raws[0].size
+            vecs = [_normalize(raw, dim) for raw in raws]
+            with self._lock:
+                for i, vec in zip(batch, vecs):
+                    results[i] = vec
+                done[b] = [(keys[i], raw) for i, raw in zip(batch, raws)]
+                while next_batch in done:
+                    self._remember(done.pop(next_batch))
+                    next_batch += 1
+
+        try:
             if self.cfg.parallelism > 1 and len(batches) > 1:
                 with ThreadPoolExecutor(max_workers=self.cfg.parallelism) as pool:
-                    outcomes = list(pool.map(run, batches))
+                    list(pool.map(run, range(len(batches))))
             else:
-                outcomes = [run(b) for b in batches]
+                for b in range(len(batches)):
+                    run(b)
+        finally:
+            # After a failed batch, keep every batch that did complete.
             with self._lock:
-                for batch, vectors in outcomes:
-                    for i, raw in zip(batch, vectors):
-                        vec = _normalize(raw, expected_dim)
-                        if expected_dim is None:
-                            expected_dim = vec.size
-                        results[i] = vec
-                        self._cache[self._cache_key(texts[i], mode)] = [float(v) for v in raw]
-                self._write_cache()
+                for b in sorted(done):
+                    self._remember(done[b])
 
         filled = [r for r in results if r is not None]
         if len(filled) != len(texts):

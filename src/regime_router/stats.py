@@ -240,7 +240,7 @@ def mcnemar(wins: int, losses: int) -> dict[str, float]:
     m = min(wins, losses)
     denom = 1 << n
     below = sum(math.comb(n, i) for i in range(0, m + 1))
-    above = sum(math.comb(n, i) for i in range(m, n + 1))
+    above = denom - below + math.comb(n, m)  # sum of comb(n, i) for i in m..n
     one_sided = Fraction(below, denom)
     p_exact = 2 * min(one_sided, Fraction(above, denom))
     p_exact = min(p_exact, Fraction(1))

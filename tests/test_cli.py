@@ -290,6 +290,26 @@ def test_embed_fetches_and_extends(world_dir, tmp_path, capsys, monkeypatch):
     assert store_path.read_bytes() == before
 
 
+def test_embed_rejects_legacy_json_cache(world_dir, tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text('{"0123|query|m": [1.0, 0.0]}', encoding="utf-8")
+    before = cache.read_bytes()
+    store_path = tmp_path / "fresh.bin"
+    code = main(
+        [
+            "embed",
+            "--dataset", str(world_dir / "data"),
+            "--store", str(store_path),
+            "--cache", str(cache),
+            "--endpoint", "https://provider.test/embed",
+        ]
+    )
+    assert code == EXIT_RUNTIME
+    assert "magic" in capsys.readouterr().err
+    assert cache.read_bytes() == before
+    assert not store_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

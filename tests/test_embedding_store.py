@@ -1,8 +1,14 @@
-import json
 import logging
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regime_router.embedding_store import (
     DimensionMismatchError,
@@ -12,6 +18,7 @@ from regime_router.embedding_store import (
     NonFiniteVectorError,
     ProviderError,
     TransportError,
+    CACHE_MAGIC,
     VectorFormatError,
     VectorStore,
     fetch_remote,
@@ -150,6 +157,19 @@ def test_load_rejects_unknown_mode_byte(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(VectorFormatError, match="mode"):
         load_vectors(bad)
+
+
+def test_failed_save_leaves_old_store(tmp_path):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(2, {("old", "doc"): np.array([1.0, 0.0])}), path)
+    before = path.read_bytes()
+    # The over-long id sorts after "aa", so the write fails after one record.
+    bad = VectorStore(2, {("aa", "doc"): np.array([0.0, 1.0]), ("z" * 70_000, "doc"): np.array([1.0, 1.0])})
+    with pytest.raises(VectorFormatError, match="too long"):
+        save_vectors(bad, path)
+    assert path.read_bytes() == before
+    assert list(load_vectors(path).keys()) == [("old", "doc")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.bin"]
 
 
 # ---------------------------------------------------------------------------
@@ -346,4 +366,156 @@ def test_fetch_remote_wrapper(tmp_path):
         client_config(), ["one", "two"], "query", cache_path=cache, transport=make_transport([])
     )
     assert len(vecs) == 2
-    assert json.loads(cache.read_text())
+    again = EmbeddingClient(client_config(), cache_path=cache, transport=make_transport([]))
+    assert all(np.array_equal(a, b) for a, b in zip(again.fetch(["one", "two"], "query"), vecs))
+    assert again.calls == 0
+
+
+# ---------------------------------------------------------------------------
+# Embed cache file
+
+
+def test_cache_keys_on_exact_string_sent(tmp_path):
+    cache = tmp_path / "cache.bin"
+    log = []
+    a = EmbeddingClient(client_config(mode_instructions={"query": "A:"}), cache_path=cache,
+                        transport=make_transport(log))
+    a.fetch(["alpha"], "query")
+    b = EmbeddingClient(client_config(mode_instructions={"query": "B:"}), cache_path=cache,
+                        transport=make_transport(log))
+    b.fetch(["alpha"], "query")
+    assert b.calls == 1
+    assert [entry["payload"]["input"] for entry in log] == [["A:alpha"], ["B:alpha"]]
+
+
+def failing_on(bad_text, log):
+    """A transport that fails every attempt at the batch holding bad_text."""
+    good = make_transport(log)
+
+    def transport(url, payload, headers, timeout):
+        if bad_text in payload["input"]:
+            raise TransportError("connection reset")
+        return good(url, payload, headers, timeout)
+
+    return transport
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_completed_batches_survive_a_failed_one(tmp_path, parallelism):
+    cache = tmp_path / "cache.bin"
+    texts = [f"t{i}" for i in range(6)]
+    cfg = client_config(batch_size=2, parallelism=parallelism, max_retries=1,
+                        mode_instructions={})
+    client = EmbeddingClient(cfg, cache_path=cache, transport=failing_on("t4", []))
+    with pytest.raises(TransportError):
+        client.fetch(texts, "doc")
+
+    log = []
+    again = EmbeddingClient(cfg, cache_path=cache, transport=make_transport(log))
+    again.fetch(texts, "doc")
+    assert [entry["payload"]["input"] for entry in log] == [["t4", "t5"]]
+
+
+def test_batches_after_a_failed_one_are_kept(tmp_path):
+    cache = tmp_path / "cache.bin"
+    texts = [f"t{i}" for i in range(6)]
+    cfg = client_config(batch_size=2, parallelism=3, max_retries=0, mode_instructions={})
+    all_started = threading.Barrier(3, timeout=10)
+    fail_first = failing_on("t0", [])
+
+    def transport(url, payload, headers, timeout):
+        all_started.wait()  # the first batch fails once the later two are under way
+        return fail_first(url, payload, headers, timeout)
+
+    with pytest.raises(TransportError):
+        EmbeddingClient(cfg, cache_path=cache, transport=transport).fetch(texts, "doc")
+
+    log = []
+    EmbeddingClient(cfg, cache_path=cache, transport=make_transport(log)).fetch(texts, "doc")
+    assert [entry["payload"]["input"] for entry in log] == [["t0", "t1"]]
+
+
+def test_cache_bytes_do_not_depend_on_parallelism(tmp_path):
+    # More workers than cores, a short switch interval, and later batches finish first.
+    texts = [f"text number {i}" for i in range(48)]
+
+    def reversed_order(url, payload, headers, timeout):
+        first = int(payload["input"][0].rsplit(" ", 1)[1])
+        time.sleep(0.0005 * (48 - first))
+        return {"vectors": [unit_for(t) for t in payload["input"]]}
+
+    serial, parallel = tmp_path / "serial.bin", tmp_path / "parallel.bin"
+    EmbeddingClient(client_config(batch_size=2), cache_path=serial, transport=reversed_order).fetch(texts, "doc")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        EmbeddingClient(client_config(batch_size=2, parallelism=8), cache_path=parallel,
+                        transport=reversed_order).fetch(texts, "doc")
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.read_bytes() == parallel.read_bytes()
+    again = EmbeddingClient(client_config(), cache_path=parallel, transport=make_transport([]))
+    again.fetch(texts, "doc")
+    assert again.calls == 0
+
+
+def test_cache_layout(tmp_path):
+    cache = tmp_path / "cache.bin"
+    EmbeddingClient(client_config(), cache_path=cache, transport=make_transport([])).fetch(["a", "b"], "doc")
+    raw = cache.read_bytes()
+    assert raw.startswith(CACHE_MAGIC)
+    record = 32 + 4 + 8 * 4
+    assert len(raw) == len(CACHE_MAGIC) + 2 * record
+    first = raw[len(CACHE_MAGIC):len(CACHE_MAGIC) + record]
+    assert int.from_bytes(first[32:36], "little") == 4
+    assert np.frombuffer(first[36:], dtype="<f8").tolist() == unit_for("search_document: a")
+
+
+@pytest.mark.parametrize("content", [b'{"abc|query|embed-small": [1.0, 0.0]}', b"RGRV1\x04\x00\x00\x00", b"rgrc1"])
+def test_cache_without_magic_is_rejected_untouched(tmp_path, content):
+    cache = tmp_path / "cache.json"
+    cache.write_bytes(content)
+    with pytest.raises(VectorFormatError, match="magic"):
+        EmbeddingClient(client_config(), cache_path=cache, transport=make_transport([]))
+    assert cache.read_bytes() == content
+
+
+def check_cut_cache(path: Path, full: bytes, texts: list[str], cut: int, dim: int) -> None:
+    """A cache cut at ``cut`` serves exactly its whole records, then heals on append."""
+    record = 32 + 4 + 8 * dim
+    whole = max(0, (cut - len(CACHE_MAGIC)) // record)
+    path.write_bytes(full[:cut])
+    log = []
+    client = EmbeddingClient(client_config(batch_size=len(texts)), cache_path=path, transport=make_transport(log))
+    client.fetch(texts, "doc")
+    sent = [t for entry in log for t in entry["payload"]["input"]]
+    assert sent == ["search_document: " + t for t in texts[whole:]]
+    if whole < len(texts):
+        assert path.read_bytes() == full
+    else:
+        assert path.read_bytes() == full[:cut]
+    healed = EmbeddingClient(client_config(), cache_path=path, transport=make_transport([]))
+    healed.fetch(texts, "doc")
+    assert healed.calls == 0
+
+
+def test_truncated_cache_every_offset(tmp_path):
+    texts = ["one", "two", "three"]
+    path = tmp_path / "cache.bin"
+    EmbeddingClient(client_config(), cache_path=path, transport=make_transport([])).fetch(texts, "doc")
+    full = path.read_bytes()
+    for cut in range(len(full) + 1):
+        check_cut_cache(path, full, texts, cut, dim=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=6, unique=True),
+    cut_share=st.floats(0.0, 1.0),
+)
+def test_truncated_cache_fuzz(texts, cut_share):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.bin"
+        EmbeddingClient(client_config(), cache_path=path, transport=make_transport([])).fetch(texts, "doc")
+        full = path.read_bytes()
+        check_cut_cache(path, full, texts, round(cut_share * len(full)), dim=4)

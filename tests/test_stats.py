@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +276,19 @@ def test_mcnemar_small_hand_case():
     res = mcnemar(5, 0)
     assert res["p_exact"] == pytest.approx(2.0 / 32.0)
     assert res["p_exact_one_sided"] == pytest.approx(1.0 / 32.0)
+
+
+@pytest.mark.parametrize("wins,losses", [(54, 5), (22, 6), (3, 3), (0, 7), (1802, 0), (400, 380)])
+def test_mcnemar_matches_summed_tails(wins, losses):
+    # The upper tail is taken in closed form; it must equal the summed one.
+    n, m = wins + losses, min(wins, losses)
+    below = sum(math.comb(n, i) for i in range(0, m + 1))
+    above = sum(math.comb(n, i) for i in range(m, n + 1))
+    one_sided = Fraction(below, 1 << n)
+    p_exact = min(2 * min(one_sided, Fraction(above, 1 << n)), Fraction(1))
+    res = mcnemar(wins, losses)
+    assert res["p_exact"] == float(p_exact)
+    assert res["p_exact_one_sided"] == float(one_sided)
 
 
 def test_mcnemar_rejects_negative():
