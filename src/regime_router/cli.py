@@ -392,9 +392,7 @@ def _load_eval_inputs(args: argparse.Namespace, cfg: RunConfig):
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     ds, store, selector, router = _load_eval_inputs(args, cfg)
-    report = run_main_eval(
-        ds, store, selector, router, cfg.routing(), parallelism=cfg.parallelism
-    )
+    report = run_main_eval(ds, store, selector, router, cfg.routing())
     payload = report.to_json_dict()
     payload["effective_config"] = cfg.to_dict()
     payload["deployment_rule"] = cfg.banner()
@@ -568,7 +566,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-mode", dest="alpha_mode", choices=("frozen", "p_weighted"))
     p.add_argument("--k", type=int, help="recall cutoff")
     p.add_argument("--label-mode", dest="label_mode", choices=("strict", "rank_gain"))
-    p.add_argument("--parallelism", type=int)
+    p.add_argument("--parallelism", type=int, help="concurrent provider requests during embed")
     p.add_argument("--l2-penalty", dest="l2_penalty", type=float)
     p.add_argument("--cv-folds", dest="cv_folds", type=int)
 

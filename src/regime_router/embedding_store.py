@@ -264,9 +264,10 @@ class EmbeddingClient:
 
     POST JSON {"model", "input": [...], "mode"} -> {"vectors": [[...], ...]}.
     The cache maps sha256(model, mode, exact string sent) to the raw
-    vector, so repeat fetches make no network calls, and every batch is
-    appended to the cache file as soon as it and the batches before it
-    have completed. ``calls`` counts HTTP requests.
+    vector, so repeat fetches make no network calls and a string repeated
+    within one fetch is sent once. Every batch is appended to the cache
+    file as soon as it and the batches before it have completed.
+    ``calls`` counts HTTP requests.
     """
 
     def __init__(self, cfg: EmbedProviderConfig, cache_path: Path | str | None = None, transport=None) -> None:
@@ -341,15 +342,18 @@ class EmbeddingClient:
         sent = [prefix + t for t in texts]
         keys = [self._cache_key(s, mode) for s in sent]
         results: list[np.ndarray | None] = [None] * len(texts)
-        missing: list[int] = []
+        # Each distinct missing key is sent once, in order of first occurrence,
+        # and fills every index that asked for it.
+        missing: dict[bytes, list[int]] = {}
         for i, key in enumerate(keys):
             cached = self._cache.get(key)
             if cached is not None:
                 results[i] = _normalize(cached, expected_dim)
             else:
-                missing.append(i)
+                missing.setdefault(key, []).append(i)
 
-        batches = [missing[lo : lo + self.cfg.batch_size] for lo in range(0, len(missing), self.cfg.batch_size)]
+        todo = list(missing.values())
+        batches = [todo[lo : lo + self.cfg.batch_size] for lo in range(0, len(todo), self.cfg.batch_size)]
         # Completed batches wait here until every earlier batch has been
         # cached, so the file's bytes do not depend on parallelism.
         done: dict[int, list[tuple[bytes, np.ndarray]]] = {}
@@ -358,14 +362,16 @@ class EmbeddingClient:
         def run(b: int) -> None:
             nonlocal next_batch
             batch = batches[b]
-            vectors = self._post_batch([sent[i] for i in batch], mode)
+            vectors = self._post_batch([sent[idxs[0]] for idxs in batch], mode)
             raws = [np.asarray(raw, dtype=float).reshape(-1) for raw in vectors]
             dim = expected_dim if expected_dim is not None else raws[0].size
             vecs = [_normalize(raw, dim) for raw in raws]
             with self._lock:
-                for i, vec in zip(batch, vecs):
-                    results[i] = vec
-                done[b] = [(keys[i], raw) for i, raw in zip(batch, raws)]
+                for idxs, vec in zip(batch, vecs):
+                    results[idxs[0]] = vec
+                    for i in idxs[1:]:
+                        results[i] = vec.copy()
+                done[b] = [(keys[idxs[0]], raw) for idxs, raw in zip(batch, raws)]
                 while next_batch in done:
                     self._remember(done.pop(next_batch))
                     next_batch += 1

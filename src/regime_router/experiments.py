@@ -2,13 +2,12 @@
 
 Every experiment is a pure pipeline: immutable inputs in, a report
 dataclass out. Reports expose ``to_json_dict`` for the JSON emitters and
-``csv_rows`` (header, rows) for plot-ready CSV. Per-query work merges in
-dataset order, so results are deterministic regardless of parallelism.
+``csv_rows`` (header, rows) for plot-ready CSV. Per-query work runs in
+dataset order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .linear_model import LinearModel, predict_proba
 from .router_retrieval import (
     ACTION_UNION,
     RoutingConfig,
-    clip_alpha,
+    fusion_alpha,
     rank_pool,
     recall_at_k,
     route,
@@ -138,17 +137,8 @@ def trace_queries(
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
     lex: Lexicons | None = None,
-    parallelism: int = 1,
 ) -> list[QueryTrace]:
     cfg = cfg or RoutingConfig()
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(
-                pool.map(
-                    lambda q: _trace_one(q, ds, store, selector_model, router_model, cfg, lex),
-                    ds.queries,
-                )
-            )
     return [_trace_one(q, ds, store, selector_model, router_model, cfg, lex) for q in ds.queries]
 
 
@@ -221,11 +211,10 @@ def run_main_eval(
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
     lex: Lexicons | None = None,
-    parallelism: int = 1,
 ) -> EvalReport:
     """Q-only versus routed recall@k with discordant-pair significance."""
     cfg = cfg or RoutingConfig()
-    traces = trace_queries(ds, store, selector_model, router_model, cfg, lex, parallelism)
+    traces = trace_queries(ds, store, selector_model, router_model, cfg, lex)
     n = len(traces)
     if n == 0:
         raise ValueError("dataset has no queries")
@@ -662,8 +651,7 @@ def run_oracle_analysis(
         feats = router_features(q.question, brel, bridge.body, lex)
         p = predict_proba(router_model, feats.as_vector())
         if p >= cfg.tau:
-            alpha = clip_alpha(p) if cfg.alpha_mode == "p_weighted" else cfg.alpha
-            oracle_selector_hits += _union_hit(store, q, brel, alpha, cfg.k)
+            oracle_selector_hits += _union_hit(store, q, brel, fusion_alpha(p, cfg), cfg.k)
         else:
             oracle_selector_hits += t.hit_q
     oracle_selector = oracle_selector_hits / n
@@ -745,7 +733,7 @@ def run_ablations(
         p = predict_proba(router_model, feats.as_vector())
         union = p >= cfg.tau
         hits_routed_half += _union_hit(store, q, brel, 0.5, cfg.k) if union else hit_q
-        hits_routed_main += _union_hit(store, q, brel, cfg.alpha, cfg.k) if union else hit_q
+        hits_routed_main += _union_hit(store, q, brel, fusion_alpha(p, cfg), cfg.k) if union else hit_q
 
         ne_union = feats.b_new_entity_count >= 1 and feats.q_comparison_word == 0
         hits_ne += _union_hit(store, q, brel, cfg.alpha, cfg.k) if ne_union else hit_q

@@ -81,6 +81,11 @@ def clip_alpha(p_union: float) -> float:
     return min(max(p_union * 0.5, 0.1), 0.5)
 
 
+def fusion_alpha(p_union: float, cfg: RoutingConfig) -> float:
+    """The alpha that Union fuses with under ``cfg.alpha_mode``."""
+    return clip_alpha(p_union) if cfg.alpha_mode == ALPHA_MODE_P_WEIGHTED else cfg.alpha
+
+
 def fuse_scores(q_scores, brel_scores, alpha: float) -> np.ndarray:
     """Element-wise convex combination of aligned score lists."""
     q = np.asarray(q_scores, dtype=float)
@@ -120,14 +125,10 @@ def route(
     feats = router_features(q.question, b_rel, bridge.body, lex)
     p_union = predict_proba(router_model, feats.as_vector())
     action = ACTION_UNION if p_union >= cfg.tau else ACTION_Q
-    if cfg.alpha_mode == ALPHA_MODE_P_WEIGHTED:
-        alpha_used = clip_alpha(p_union)
-    else:
-        alpha_used = cfg.alpha
     return RoutingDecision(
         action=action,
         p_union=p_union,
-        alpha_used=alpha_used,
+        alpha_used=fusion_alpha(p_union, cfg),
         b_rel=b_rel,
         features=feats,
     )

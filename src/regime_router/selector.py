@@ -1,9 +1,9 @@
 """Relation-sentence selection.
 
 Scores every sentence of a bridge passage with a linear model over
-SentenceFeatures and returns the argmax (lowest index on ties). Oracle
-labels come from title containment; training expands each annotated
-passage into per-sentence binary rows.
+SentenceFeatures, in one call per passage, and returns the argmax
+(lowest index on ties). Oracle labels come from title containment;
+training expands each annotated passage into per-sentence binary rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .linear_model import (
     LinearModel,
     TrainConfig,
     fold_bounds,
-    predict_proba,
+    predict_proba_matrix,
     train,
     with_feature_names,
 )
@@ -103,13 +103,10 @@ def select(
     sents = split_sentences(bridge.body, lex)
     if not sents:
         return SelectionResult(chosen=None, abstained=True)
-    best_i = 0
-    best_p = -1.0
-    for i, sent in enumerate(sents):
-        feats = sentence_features(sent.text, question, i, len(sents), lex)
-        p = predict_proba(model, feats.as_vector())
-        if p > best_p:
-            best_i, best_p = i, p
+    rows = [sentence_features(s.text, question, i, len(sents), lex).as_vector() for i, s in enumerate(sents)]
+    probs = predict_proba_matrix(model, rows)
+    best_i = int(np.argmax(probs))  # the first maximum: lowest index wins ties
+    best_p = float(probs[best_i])
     if abstain_threshold > 0.0 and best_p < abstain_threshold:
         return SelectionResult(chosen=None, abstained=True)
     return SelectionResult(chosen=(sents[best_i].text, best_i, best_p), abstained=False)

@@ -7,6 +7,14 @@ dependency-light by design: no tagger, no learned components.
 
 Lexicons ship as plain-text config files (one term per line) under
 ``regime_router/data`` and can be overridden per call.
+
+The two feature extractors read each text through a per-process memo of
+its profile: lowercased words, entity surfaces and the count of tokens
+inside entity spans. The memo is an LRU cache keyed on (text,
+Lexicons), so a text under a custom lexicon never shares a profile with
+the default one, and it holds at most 32,768 texts
+(``_PROFILE_MEMO_SIZE``). Profiles are immutable, so sharing one between
+callers is safe.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _TERMINALS = ".?!"
@@ -88,8 +97,7 @@ class Sentence:
     end: int
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     start: int
     end: int
@@ -232,7 +240,7 @@ def tokenize(text: str, lex: Lexicons | None = None) -> TokenizedText:
         while si < len(starts) and m.start() >= starts[si]:
             initial = True
             si += 1
-        tokens.append(Token(surface=m.group(), start=m.start(), end=m.end(), sentence_initial=initial))
+        tokens.append(Token(m.group(), m.start(), m.end(), initial))
     return TokenizedText(tokens=tuple(tokens))
 
 
@@ -312,6 +320,28 @@ def assign_regime(p1: bool, p2: bool) -> PredicateAssignment:
     return PredicateAssignment(p1=p1, p2=p2, regime=regime)
 
 
+class _Profile(NamedTuple):
+    """What the feature extractors read of one text; the token count is len(words)."""
+
+    words: tuple[str, ...]  # lowercased token surfaces, in order
+    entities: frozenset[str]  # span_surfaces of the proper-noun spans
+    entity_tokens: int  # tokens inside those spans
+
+
+_PROFILE_MEMO_SIZE = 1 << 15  # distinct texts: a query adds its question and bridge sentences
+
+
+@lru_cache(maxsize=_PROFILE_MEMO_SIZE)
+def _profile(text: str, lex: Lexicons) -> _Profile:
+    toks = tokenize(text, lex)
+    spans = proper_noun_spans(toks, lex)
+    return _Profile(
+        words=tuple(tok.surface.lower() for tok in toks.tokens),
+        entities=frozenset(span_surfaces(spans)),
+        entity_tokens=sum(sp.token_count for sp in spans),
+    )
+
+
 def router_features(
     question: str,
     b_rel: str,
@@ -320,24 +350,21 @@ def router_features(
 ) -> RouterFeatures:
     """The five router features, all computable from surface text alone."""
     lex = lex or default_lexicons()
-    q_toks = tokenize(question, lex)
-    lowered = [tok.surface.lower() for tok in q_toks.tokens]
-    q_comparison = int(any(w in lex.comparison for w in lowered))
-    q_ynstart = int(bool(lowered) and lowered[0] in lex.ynstart)
-    q_surfaces = span_surfaces(proper_noun_spans(q_toks, lex))
+    q = _profile(question, lex)
+    b = _profile(b_rel, lex)
+    q_comparison = int(any(w in lex.comparison for w in q.words))
+    q_ynstart = int(bool(q.words) and q.words[0] in lex.ynstart)
+    new_count = len(b.entities - q.entities)
 
-    b_toks = tokenize(b_rel, lex)
-    b_surfaces = span_surfaces(proper_noun_spans(b_toks, lex))
-    new_count = len(b_surfaces - q_surfaces)
-
-    brel_len = len(b_toks.tokens)
-    body_len = len(tokenize(bridge_body, lex).tokens)
+    brel_len = len(b.words)
+    # tokenize makes exactly one token per _WORD_RE match.
+    body_len = len(_WORD_RE.findall(bridge_body))
     frac = 0.0 if brel_len == 0 or body_len == 0 else min(1.0, brel_len / body_len)
 
     return RouterFeatures(
         q_comparison_word=q_comparison,
         q_ynstart=q_ynstart,
-        q_entity_count=len(q_surfaces),
+        q_entity_count=len(q.entities),
         b_new_entity_count=new_count,
         b_rel_frac=frac,
     )
@@ -354,20 +381,17 @@ def sentence_features(
     if total < 1 or not (0 <= index < total):
         raise ValueError(f"index {index} out of range for total {total}")
     lex = lex or default_lexicons()
-    s_toks = tokenize(sent, lex)
-    spans = proper_noun_spans(s_toks, lex)
-    s_surfaces = span_surfaces(spans)
-    q_surfaces = span_surfaces(proper_noun_spans(tokenize(question, lex), lex))
+    s = _profile(sent, lex)
+    q = _profile(question, lex)
 
-    length = len(s_toks.tokens)
-    covered = sum(sp.token_count for sp in spans)
-    has_verb = int(any(tok.surface.lower() in lex.relation_verbs for tok in s_toks.tokens))
+    length = len(s.words)
+    has_verb = int(any(w in lex.relation_verbs for w in s.words))
     return SentenceFeatures(
-        new_entity_count=len(s_surfaces - q_surfaces),
+        new_entity_count=len(s.entities - q.entities),
         has_relation_verb=has_verb,
         position_frac=index / max(total - 1, 1),
         length_tokens=length,
-        ne_density=0.0 if length == 0 else min(1.0, covered / length),
+        ne_density=0.0 if length == 0 else min(1.0, s.entity_tokens / length),
     )
 
 

@@ -224,6 +224,23 @@ def test_fetch_batches_by_size():
     assert [len(entry["payload"]["input"]) for entry in log] == [2, 2, 1]
 
 
+def test_fetch_sends_a_repeated_text_once(tmp_path):
+    log = []
+    cache = tmp_path / "cache.bin"
+    client = EmbeddingClient(client_config(batch_size=2), cache_path=cache, transport=make_transport(log))
+    vecs = client.fetch(["a", "b", "a", "c", "b", "a"], "doc")
+    assert [entry["payload"]["input"] for entry in log] == [
+        ["search_document: a", "search_document: b"],
+        ["search_document: c"],
+    ]
+    raw = {t: np.asarray(unit_for(f"search_document: {t}")) for t in "abc"}
+    assert [v.tolist() for v in vecs] == [(raw[t] / np.linalg.norm(raw[t])).tolist() for t in "abacba"]
+    assert vecs[0] is not vecs[2]  # every position owns its array
+    fresh = tmp_path / "fresh.bin"
+    EmbeddingClient(client_config(), cache_path=fresh, transport=make_transport([])).fetch(["a", "b", "c"], "doc")
+    assert cache.read_bytes() == fresh.read_bytes()
+
+
 def test_fetch_unknown_mode():
     client = EmbeddingClient(client_config(), transport=make_transport([]))
     with pytest.raises(ValueError, match="mode"):

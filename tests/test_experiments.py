@@ -62,13 +62,6 @@ def test_trace_fields_and_actions(routing_models):
         assert t.hit_routed  # routed pipeline solves every query here
 
 
-def test_trace_parallelism_is_order_preserving(routing_models):
-    ds, store, selector_model, router_model = routing_models
-    serial = trace_queries(ds, store, selector_model, router_model, parallelism=1)
-    threaded = trace_queries(ds, store, selector_model, router_model, parallelism=4)
-    assert serial == threaded
-
-
 def test_trace_json_keys():
     t = QueryTrace(
         query_id="q1", qtype="comparison", features={"f": 1.0}, p_union=0.7,
@@ -335,6 +328,18 @@ def test_ablation_table(routing_models):
     assert by_cond["routed_alpha_0.25"].r_at_5 == pytest.approx(1.0)
     assert by_cond["routed_alpha_0.25"].delta_pp == pytest.approx(50.0)
     assert by_cond["ne_heuristic"].r_at_5 == pytest.approx(1.0)
+
+
+def test_ablation_routed_row_follows_the_alpha_mode(routing_models):
+    ds, store, selector_model, router_model = routing_models
+    # A frozen alpha of 0.2 cannot lift a compositional gold above its
+    # distractors (that takes 0.216); the p-weighted alpha of a query
+    # routed to Union is at least tau / 2 = 0.25.
+    cfg = RoutingConfig(alpha=0.2, alpha_mode="p_weighted")
+    routed = run_main_eval(ds, store, selector_model, router_model, cfg).routed_r_at_k
+    rows = {r.condition: r.r_at_5 for r in run_ablations(ds, store, selector_model, router_model, cfg).rows}
+    assert routed == pytest.approx(1.0)
+    assert rows["routed_alpha_0.2"] == routed
 
 
 # ---------------------------------------------------------------------------

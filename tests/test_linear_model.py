@@ -1,8 +1,12 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from conftest import build_routing_world
 
+from regime_router import linear_model
 from regime_router.linear_model import (
     FoldError,
     NonConvergenceError,
@@ -17,6 +21,8 @@ from regime_router.linear_model import (
     train,
     with_feature_names,
 )
+from regime_router.router_retrieval import build_router_training
+from regime_router.selector import train_selector
 
 
 def separable(n=80, seed=0):
@@ -82,9 +88,32 @@ def test_label_validation():
 
 def test_nonconvergence_raises_with_grad_norm():
     X, y = separable()
-    with pytest.raises(NonConvergenceError) as err:
+    with pytest.raises(NonConvergenceError, match="no convergence after 1 iterations") as err:
         train(X, y, TrainConfig(max_iter=1, tol=1e-14, l2_penalty=0.0))
     assert err.value.grad_norm > 0
+
+
+def test_line_search_stall_far_from_the_optimum_raises(monkeypatch):
+    X, y = separable()
+    losses = itertools.count()  # every trial looks worse than the iterate
+    monkeypatch.setattr(linear_model, "_penalized_nll", lambda *args: float(next(losses)))
+    with pytest.raises(NonConvergenceError, match="line search stalled at iteration 0") as err:
+        train(X, y)
+    assert err.value.grad_norm > 1.0
+
+
+def test_router_converges_at_the_float_floor():
+    # At n=1600 the loss stops resolving progress at a gradient norm near
+    # 2e-6: above the absolute tol of 1e-8, within the float floor.
+    ds, store, annotations = build_routing_world(1600)
+    X, y = build_router_training(ds, store, train_selector(annotations))
+    m = train(X, y)
+    assert m.train_meta == {"n": 1600, "l2_penalty": 1.0, "tol": 1e-8, "max_iter": 200, "deterministic": True}
+    assert np.all((predict_proba_matrix(m, X) >= 0.5) == (y == 1.0))
+    eta = m.standardize(X) @ np.asarray(m.weights) + m.bias
+    r = 1.0 / (1.0 + np.exp(-eta)) - y
+    grad = np.concatenate([m.standardize(X).T @ r + np.asarray(m.weights), [r.sum()]])
+    assert 1e-8 < np.linalg.norm(grad) <= math.sqrt(np.finfo(float).eps) * 1600
 
 
 def test_l2_shrinks_weights():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -105,16 +106,14 @@ def test_select_abstain_threshold():
 
 
 def test_select_tie_breaks_to_lowest_index():
-    # Two identical sentences produce identical features except position and
-    # index-derived values; make them fully identical by a single-sentence
-    # duplicate body and a model that is position-blind is hard to construct,
-    # so instead check determinism: repeated calls agree.
-    model = train_selector(annotated_pool())
-    body = "Mora Quill founded Relay Point A before the war. Mora Quill founded Relay Point A before the war."
-    first = select(bridge("bdup", body), "Who founded the relay point?", model)
-    second = select(bridge("bdup", body), "Who founded the relay point?", model)
-    assert first == second
-    assert not first.abstained
+    # With no weight on position, identical sentences score identically.
+    trained = train_selector(annotated_pool())
+    blind = replace(trained, weights=trained.weights[:2] + (0.0,) + trained.weights[3:])
+    dup = "Mora Quill founded Relay Point A before the war."
+    body = f"Rain kept the couriers indoors. {dup} {dup} Rain kept the couriers indoors."
+    result = select(bridge("bdup", body), "Who founded the relay point?", blind)
+    assert result.chosen[:2] == (dup, 1)
+    assert result == select(bridge("bdup", body), "Who founded the relay point?", blind)
 
 
 def test_train_selector_rejects_bad_index():

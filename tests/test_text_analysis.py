@@ -11,7 +11,10 @@ from regime_router.text_analysis import (
     ROUTER_FEATURE_NAMES,
     SENTENCE_FEATURE_NAMES,
     Lexicons,
+    RouterFeatures,
+    SentenceFeatures,
     assign_regime,
+    default_lexicons,
     normalize_text,
     p1_proxy,
     p2_proxy,
@@ -276,3 +279,97 @@ def test_lexicon_override(tmp_path):
 def test_span_surfaces_normalizes():
     spans = proper_noun_spans(tokenize("They saw Aurora  Station there. Aurora Station shone."))
     assert "aurora station" in span_surfaces(spans)
+
+
+def test_custom_lexicons_get_their_own_profiles(tmp_path):
+    verbs = tmp_path / "verbs.txt"
+    verbs.write_text("zorbed\n", encoding="utf-8")
+    stops = tmp_path / "stops.txt"
+    stops.write_text("kara\n", encoding="utf-8")
+    custom = Lexicons.load(relation_verbs=verbs, span_stopwords=stops)
+    sent = "Kara Voss zorbed the keeper. Kara Voss founded it."
+    question = "Who zorbed the keeper?"
+    # Same text under each lexicon, in both orders of first use.
+    for first, second in ((None, custom), (custom, None)):
+        a = sentence_features(sent, question, 0, 2, first)
+        b = sentence_features(sent, question, 0, 2, second)
+        assert a != b
+    default = sentence_features(sent, question, 0, 2)
+    mine = sentence_features(sent, question, 0, 2, custom)
+    assert (default.has_relation_verb, mine.has_relation_verb) == (1, 1)
+    # "Kara" may not start a span under the custom stopwords: "Voss" alone is the entity.
+    assert default.ne_density == 4 / 9 and mine.ne_density == 2 / 9
+    assert sentence_features("He zorbed it.", "Q?", 0, 1).has_relation_verb == 0
+    assert sentence_features("He zorbed it.", "Q?", 0, 1, custom).has_relation_verb == 1
+
+
+# ---------------------------------------------------------------------------
+# Features against a reference that re-tokenizes every text on every call
+
+
+def reference_router_features(question, b_rel, bridge_body, lex):
+    q_toks = tokenize(question, lex)
+    lowered = [tok.surface.lower() for tok in q_toks.tokens]
+    q_comparison = int(any(w in lex.comparison for w in lowered))
+    q_ynstart = int(bool(lowered) and lowered[0] in lex.ynstart)
+    q_surfaces = span_surfaces(proper_noun_spans(q_toks, lex))
+    b_toks = tokenize(b_rel, lex)
+    b_surfaces = span_surfaces(proper_noun_spans(b_toks, lex))
+    brel_len = len(b_toks.tokens)
+    body_len = len(tokenize(bridge_body, lex).tokens)
+    frac = 0.0 if brel_len == 0 or body_len == 0 else min(1.0, brel_len / body_len)
+    return RouterFeatures(
+        q_comparison_word=q_comparison,
+        q_ynstart=q_ynstart,
+        q_entity_count=len(q_surfaces),
+        b_new_entity_count=len(b_surfaces - q_surfaces),
+        b_rel_frac=frac,
+    )
+
+
+def reference_sentence_features(sent, question, index, total, lex):
+    s_toks = tokenize(sent, lex)
+    spans = proper_noun_spans(s_toks, lex)
+    q_surfaces = span_surfaces(proper_noun_spans(tokenize(question, lex), lex))
+    length = len(s_toks.tokens)
+    covered = sum(sp.token_count for sp in spans)
+    return SentenceFeatures(
+        new_entity_count=len(span_surfaces(spans) - q_surfaces),
+        has_relation_verb=int(any(tok.surface.lower() in lex.relation_verbs for tok in s_toks.tokens)),
+        position_frac=index / max(total - 1, 1),
+        length_tokens=length,
+        ne_density=0.0 if length == 0 else min(1.0, covered / length),
+    )
+
+
+_PIECES = (
+    "Dr.", "Mr.", "St.", "U.S.", "e.g.", "vs.", "J.", "K.", "J. K.",
+    "Kara Voss", "Mora Quill", "New York Harbor", "The Hague", "Aurora Station", "Old Harbor",
+    "Kara", "The", "Which", "Did", "Is", "Was",
+    "founded", "married", "wrote", "born", "different", "earlier", "or", "versus",
+    "the", "keeper", "of", "harbor", "in", "1871", "it", "and",
+    ".", "?", "!", "?!", ",", "  ", "\n", "Über", "naïve", "école",
+)
+_sentences = st.lists(st.sampled_from(_PIECES), max_size=14).map(" ".join)
+_texts = st.one_of(
+    st.just(""),
+    _sentences,
+    st.lists(_sentences, min_size=1, max_size=4).map(". ".join),
+    _sentences.map(lambda s: f"{s}. {s}. {s}"),  # repeated sentences
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, _texts, _texts, st.integers(1, 6), st.data())
+def test_features_match_the_retokenizing_reference(question, b_rel, body, total, data):
+    lex = default_lexicons()
+    index = data.draw(st.integers(0, total - 1))
+    # Twice each: the second call is served from the profile memo.
+    for _ in range(2):
+        assert router_features(question, b_rel, body, lex) == reference_router_features(question, b_rel, body, lex)
+        assert sentence_features(b_rel, question, index, total, lex) == reference_sentence_features(
+            b_rel, question, index, total, lex
+        )
+        assert sentence_features(body, b_rel, index, total) == reference_sentence_features(
+            body, b_rel, index, total, lex
+        )
