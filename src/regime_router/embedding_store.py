@@ -9,6 +9,15 @@ similarities. Evaluation code never fetches implicitly: a run requires a
 fully materialized store, and fetch_remote exists only for the embed
 step of the CLI.
 
+In memory a store is one read-only n x dim float64 matrix, one row per
+(id, mode) key, plus a dict from key to row. Loading copies each f32
+record into its row and normalizes all rows at once; scoring gathers the
+candidate rows and takes one BLAS dot per row. Both use the per-vector
+dot that ``np.linalg.norm`` and ``np.dot`` use, so every norm and score
+is bit-identical to the per-vector computation (a matrix-vector product
+would sum in another order). A file that repeats an (id, mode) key is
+rejected.
+
 Text ids are namespaced to keep questions, passages, and derived texts
 (selected sentences, knockout variants) from colliding:
 
@@ -107,46 +116,109 @@ def _normalize(values, dim: int | None = None) -> np.ndarray:
     return vec / norm
 
 
+def _as_row(key: tuple[str, str], values, dim: int) -> np.ndarray:
+    """One entry as a flat f64 vector of length ``dim``, with a known mode."""
+    if key[1] not in _MODE_TO_BYTE:
+        raise VectorFormatError(f"unknown mode {key[1]!r}")
+    vec = np.asarray(values, dtype=float).reshape(-1)
+    if vec.size != dim:
+        raise DimensionMismatchError(f"expected dim {dim}, got {vec.size} for id {key[0]!r}")
+    return vec
+
+
+def _normalize_rows(matrix: np.ndarray, rows: dict[tuple[str, str], int]) -> None:
+    """Divide every row of ``matrix`` by its L2 norm, in place.
+
+    Each squared norm is the BLAS dot of the row with itself, the sum
+    ``np.linalg.norm`` takes, so every row ends bit-identical to
+    ``vec / np.linalg.norm(vec)``. A non-finite entry makes its row's sum nan
+    or inf, so only such rows (and zero rows) are inspected one by one; no
+    n x dim temporary is made. ``rows`` lists the keys in row order.
+    """
+    sq = np.matmul(matrix[:, None, :], matrix[:, :, None])[:, 0, 0]
+    for row in np.flatnonzero(~(sq > 0.0) | np.isinf(sq)):
+        if not np.all(np.isfinite(matrix[row])):
+            raise NonFiniteVectorError(f"vector {list(rows)[row]!r} contains non-finite values")
+        if sq[row] == 0.0:
+            raise NonFiniteVectorError(f"cannot normalize the zero vector {list(rows)[row]!r}")
+    matrix /= np.sqrt(sq)[:, None]
+
+
 class VectorStore:
-    """Immutable map from (text-id, mode) to a unit-norm vector."""
+    """Immutable map from (text-id, mode) to a unit-norm vector.
+
+    The vectors are the rows of one read-only f64 matrix; a dict maps each
+    (text-id, mode) key to its row.
+    """
 
     def __init__(self, dim: int, entries: dict[tuple[str, str], np.ndarray] | None = None) -> None:
         if dim < 1:
             raise DimensionMismatchError("dim must be positive")
-        self.dim = int(dim)
-        self._entries: dict[tuple[str, str], np.ndarray] = {}
-        for (text_id, mode), values in (entries or {}).items():
-            if mode not in _MODE_TO_BYTE:
-                raise VectorFormatError(f"unknown mode {mode!r}")
-            vec = _normalize(values, self.dim)
-            vec.setflags(write=False)
-            self._entries[(text_id, mode)] = vec
+        dim = int(dim)
+        entries = entries or {}
+        matrix = np.empty((len(entries), dim))
+        for row, (key, values) in enumerate(entries.items()):
+            matrix[row] = _as_row(key, values, dim)
+        self._adopt(matrix, {key: row for row, key in enumerate(entries)})
+
+    @classmethod
+    def _from_matrix(cls, matrix: np.ndarray, rows: dict[tuple[str, str], int]) -> VectorStore:
+        store = cls.__new__(cls)
+        store._adopt(matrix, rows)
+        return store
+
+    def _adopt(self, matrix: np.ndarray, rows: dict[tuple[str, str], int]) -> None:
+        """Take ownership of raw rows: normalize them in place and freeze them."""
+        _normalize_rows(matrix, rows)
+        matrix.setflags(write=False)
+        self.dim = matrix.shape[1]
+        self._matrix = matrix
+        self._rows = rows
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._entries
+        return key in self._rows
 
     def keys(self):
-        return self._entries.keys()
+        return self._rows.keys()
 
     def get(self, text_id: str, mode: str) -> np.ndarray:
         try:
-            return self._entries[(text_id, mode)]
+            return self._matrix[self._rows[(text_id, mode)]]
         except KeyError:
             raise MissingEmbeddingError(text_id, mode) from None
 
     def score(self, text_id: str, mode: str, candidate_ids) -> np.ndarray:
-        """Inner products of one query-side vector against doc-mode candidates."""
+        """Inner products of one query-side vector against doc-mode candidates.
+
+        The candidates' rows are gathered and each is dotted with the query
+        by BLAS, so every score is bit-identical to ``np.dot`` of the two
+        vectors. A matrix-vector product (``gathered @ q``) sums in another
+        order and is not.
+        """
         qv = self.get(text_id, mode)
-        return np.array([float(np.dot(qv, self.get(cid, MODE_DOC))) for cid in candidate_ids])
+        try:
+            idx = [self._rows[(cid, MODE_DOC)] for cid in candidate_ids]
+        except KeyError as exc:
+            raise MissingEmbeddingError(exc.args[0][0], MODE_DOC) from None
+        gathered = self._matrix[idx]
+        return np.matmul(gathered[:, None, :], qv[:, None])[:, 0, 0]
 
     def merged(self, other_entries: dict[tuple[str, str], np.ndarray]) -> VectorStore:
-        combined = dict(self._entries)
+        """A new store with ``other_entries`` added; an entry replaces the vector of its key.
+
+        Every row of the result, old ones included, is normalized again.
+        """
+        rows = dict(self._rows)
+        for key in other_entries:
+            rows.setdefault(key, len(rows))
+        matrix = np.empty((len(rows), self.dim))
+        matrix[: len(self._rows)] = self._matrix
         for key, values in other_entries.items():
-            combined[key] = np.asarray(values, dtype=float)
-        return VectorStore(self.dim, combined)
+            matrix[rows[key]] = _as_row(key, values, self.dim)
+        return VectorStore._from_matrix(matrix, rows)
 
 
 def save_vectors(store: VectorStore, path: Path | str) -> None:
@@ -177,6 +249,13 @@ def save_vectors(store: VectorStore, path: Path | str) -> None:
 
 
 def load_vectors(path: Path | str) -> VectorStore:
+    """Read the binary format into one f64 matrix, renormalizing every row.
+
+    The record headers are walked once; then each f32 vector is copied into
+    its row of a preallocated matrix and the file bytes are released before
+    normalization. A duplicate (id, mode), an id that is not UTF-8, a bad
+    mode byte or a truncated record raises ``VectorFormatError``.
+    """
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise VectorFormatError("bad magic bytes")
@@ -187,7 +266,8 @@ def load_vectors(path: Path | str) -> VectorStore:
     off += 4
     if dim < 1:
         raise VectorFormatError("non-positive dimension")
-    entries: dict[tuple[str, str], np.ndarray] = {}
+    rows: dict[tuple[str, str], int] = {}
+    starts: list[int] = []
     vec_bytes = 4 * dim
     while off < len(data):
         if off + 2 > len(data):
@@ -196,16 +276,25 @@ def load_vectors(path: Path | str) -> VectorStore:
         off += 2
         if off + id_len + 1 + vec_bytes > len(data):
             raise VectorFormatError(f"truncated record at offset {off}")
-        text_id = data[off : off + id_len].decode("utf-8")
+        try:
+            text_id = data[off : off + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise VectorFormatError(f"id at offset {off} is not valid UTF-8") from None
         off += id_len
-        mode_byte = data[off]
+        mode = _BYTE_TO_MODE.get(data[off])
+        if mode is None:
+            raise VectorFormatError(f"unknown mode byte {data[off]} at offset {off}")
         off += 1
-        if mode_byte not in _BYTE_TO_MODE:
-            raise VectorFormatError(f"unknown mode byte {mode_byte} at offset {off - 1}")
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=off).astype(float)
+        if (text_id, mode) in rows:
+            raise VectorFormatError(f"duplicate record for id {text_id!r} in mode {mode!r} at offset {off}")
+        rows[(text_id, mode)] = len(starts)
+        starts.append(off)
         off += vec_bytes
-        entries[(text_id, _BYTE_TO_MODE[mode_byte])] = vec
-    return VectorStore(dim, entries)
+    matrix = np.empty((len(starts), dim))
+    for row, start in enumerate(starts):
+        matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
+    del data
+    return VectorStore._from_matrix(matrix, rows)
 
 
 @dataclass(frozen=True)

@@ -266,10 +266,9 @@ def run_main_eval(
 
 def _gold_and_pool_scores(store: VectorStore, query_side_id: str, q: Query) -> tuple[float, np.ndarray]:
     """Gold score and distractor-pool scores (gold excluded from the pool)."""
-    gold = float(store.score(query_side_id, "query", [passage_key(q.gold_id)])[0])
-    distractors = [passage_key(p) for p in q.pool_ids if p != q.gold_id]
-    pool = store.score(query_side_id, "query", distractors) if distractors else np.array([])
-    return gold, pool
+    candidates = [passage_key(q.gold_id)] + [passage_key(p) for p in q.pool_ids if p != q.gold_id]
+    scores = store.score(query_side_id, "query", candidates)
+    return float(scores[0]), scores[1:]
 
 
 def compute_margins(

@@ -148,24 +148,8 @@ def rank_pool(
     if brel_side_id is not None:
         brel_scores = store.score(brel_side_id, "query", candidate_keys)
         scores = fuse_scores(scores, brel_scores, alpha)
-    order = sorted(zip(pool_ids, scores), key=lambda item: (-item[1], item[0]))
-    return RankedList(entries=tuple((pid, float(s)) for pid, s in order), k=k)
-
-
-def retrieve(q: Query, decision: RoutingDecision, store: VectorStore, k: int = 5) -> RankedList:
-    """Rank the query's pool under the decided action."""
-    if decision.action == ACTION_UNION:
-        if not decision.b_rel:
-            raise ValueError("Union action requires a selected sentence")
-        return rank_pool(
-            store,
-            question_key(q.id),
-            q.pool_ids,
-            k,
-            brel_side_id=text_key(decision.b_rel),
-            alpha=decision.alpha_used,
-        )
-    return rank_pool(store, question_key(q.id), q.pool_ids, k)
+    order = sorted(zip(pool_ids, scores.tolist()), key=lambda item: (-item[1], item[0]))
+    return RankedList(entries=tuple(order), k=k)
 
 
 def recall_at_k(ranked: RankedList, gold_id: str, k: int = 5) -> bool:

@@ -465,6 +465,27 @@ def test_eval_corrupt_store_exit_code(world_dir, trained_dir, tmp_path):
     assert code == EXIT_RUNTIME
 
 
+def test_eval_duplicate_store_record_exit_code(world_dir, trained_dir, tmp_path, capsys):
+    raw = (world_dir / "store.bin").read_bytes()
+    dim = int.from_bytes(raw[5:9], "little")
+    id_len = int.from_bytes(raw[9:11], "little")
+    first = raw[9 : 11 + id_len + 1 + 4 * dim]
+    doubled = tmp_path / "doubled.bin"
+    doubled.write_bytes(raw + first)
+    code = main(
+        [
+            "eval",
+            "--dataset", str(world_dir / "data"),
+            "--store", str(doubled),
+            "--selector-model", str(trained_dir / "selector.json"),
+            "--router-model", str(trained_dir / "router.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_RUNTIME
+    assert f"duplicate record for id {raw[11 : 11 + id_len].decode()!r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # experiment
 

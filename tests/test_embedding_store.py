@@ -1,8 +1,10 @@
+import functools
 import logging
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,113 @@ def test_failed_save_leaves_old_store(tmp_path):
     assert path.read_bytes() == before
     assert list(load_vectors(path).keys()) == [("old", "doc")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.bin"]
+
+
+def test_load_rejects_duplicate_record(tmp_path):
+    store = VectorStore(2, {("ab", "query"): np.array([1.0, 0.0]), ("cd", "doc"): np.array([0.0, 1.0])})
+    path = tmp_path / "v.bin"
+    save_vectors(store, path)
+    raw = path.read_bytes()
+    # The first record, ("ab", "query"): id length, id, mode byte, 2 x f32.
+    first = raw[9 : 9 + 2 + 2 + 1 + 4 * 2]
+    path.write_bytes(raw + first)
+    with pytest.raises(VectorFormatError, match="duplicate record for id 'ab'"):
+        load_vectors(path)
+
+
+def test_save_writes_an_overridden_key_once(tmp_path):
+    store = VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])})
+    bigger = store.merged({("ab", "query"): np.array([0.0, 3.0]), ("cd", "doc"): np.array([1.0, 1.0])})
+    path = tmp_path / "v.bin"
+    save_vectors(bigger, path)
+    again = load_vectors(path)
+    assert sorted(again.keys()) == [("ab", "query"), ("cd", "doc")]
+    assert again.get("ab", "query").tolist() == [0.0, 1.0]
+    assert path.stat().st_size == 9 + 2 * (2 + 2 + 1 + 4 * 2)
+
+
+def test_load_rejects_invalid_utf8_id(tmp_path):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])}), path)
+    raw = bytearray(path.read_bytes())
+    raw[5 + 4 + 2] = 0xFF  # first byte of the id
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VectorFormatError, match="offset 11 is not valid UTF-8"):
+        load_vectors(path)
+
+
+@functools.lru_cache(maxsize=1)
+def _small_store_bytes() -> bytes:
+    entries = {
+        ("\u00e9t\u00e9", "query"): np.array([1.0, 2.0, 3.0]),
+        ("\u00e9t\u00e9", "doc"): np.array([0.0, 1.0, 0.0]),
+        ("p::a", "doc"): np.array([-1.0, 0.5, 0.25]),
+    }
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "v.bin"
+        save_vectors(VectorStore(3, entries), path)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_store_loads_or_raises_a_store_error(data):
+    raw = bytearray(_small_store_bytes())
+    if data.draw(st.booleans(), label="cut"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut at")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= data.draw(st.integers(1, 255), label="mask")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "v.bin"
+        path.write_bytes(bytes(raw))
+        try:
+            store = load_vectors(path)
+        except (VectorFormatError, NonFiniteVectorError):
+            return
+    for key in store.keys():
+        assert np.isclose(np.linalg.norm(store.get(*key)), 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 32, 768])
+def test_rows_and_scores_are_bit_identical_to_per_vector_numpy(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    entries = {(f"q{i}", "query"): rng.normal(size=dim) for i in range(10)}
+    entries.update({(f"p{i}", "doc"): rng.normal(size=dim) * rng.uniform(1e-3, 1e3) for i in range(150)})
+    built = VectorStore(dim, entries)
+    save_vectors(built, tmp_path / "v.bin")
+    loaded = load_vectors(tmp_path / "v.bin")
+    on_disk = {key: built.get(*key).astype("<f4").astype(float) for key in entries}
+    docs = [text_id for text_id, mode in entries if mode == "doc"]
+    for store, sources in ((built, entries), (loaded, on_disk)):
+        for key, vec in sources.items():
+            assert np.array_equal(store.get(*key), vec / np.linalg.norm(vec))
+        for text_id, mode in entries:
+            if mode == "query":
+                qv = store.get(text_id, mode)
+                expected = [float(np.dot(qv, store.get(doc, "doc"))) for doc in docs]
+                assert store.score(text_id, mode, docs).tolist() == expected
+
+
+def test_load_and_merge_hold_no_more_than_two_matrices(tmp_path):
+    n, dim = 400, 768
+    rng = np.random.default_rng(0)
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(dim, {(f"p::{i}", "doc"): rng.normal(size=dim) for i in range(n)}), path)
+    matrix_bytes = 8 * n * dim
+    # Room for the key table, well under an n x dim boolean temporary.
+    slack = n * dim // 2
+    tracemalloc.start()
+    try:
+        store = load_vectors(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        store.merged({("extra", "doc"): np.ones(dim)})
+        _, merge_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_peak < path.stat().st_size + matrix_bytes + slack
+    assert merge_peak - before < matrix_bytes + 8 * dim + slack
 
 
 # ---------------------------------------------------------------------------

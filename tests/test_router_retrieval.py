@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regime_router.corpus import Passage
-from regime_router.embedding_store import MissingEmbeddingError, VectorStore
+from regime_router.embedding_store import MissingEmbeddingError, VectorStore, text_key
 from regime_router.linear_model import train
 from regime_router.router_retrieval import (
     ACTION_Q,
@@ -16,7 +16,6 @@ from regime_router.router_retrieval import (
     fuse_scores,
     rank_pool,
     recall_at_k,
-    retrieve,
     route,
     self_supervised_label,
 )
@@ -130,7 +129,7 @@ def test_routing_config_validation(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# rank_pool / retrieve / recall
+# rank_pool / recall
 
 
 def tiny_store():
@@ -229,36 +228,32 @@ def test_route_fallback_on_abstention(trained):
     assert decision.features is not None
 
 
-def test_retrieve_both_actions(trained):
+def test_rank_pool_under_both_actions(trained):
     ds, store, selector_model, router_model = trained
     cfg = RoutingConfig()
     comparison = ds.queries[0]
     compositional = ds.queries[1]
 
     d_cmp = route(comparison, ds.passage(comparison.bridge_id), selector_model, router_model, cfg)
-    ranked = retrieve(comparison, d_cmp, store, k=cfg.k)
+    assert d_cmp.action == ACTION_Q
+    ranked = rank_pool(store, f"q::{comparison.id}", comparison.pool_ids, cfg.k)
     assert recall_at_k(ranked, comparison.gold_id, cfg.k)
 
     d_comp = route(
         compositional, ds.passage(compositional.bridge_id), selector_model, router_model, cfg
     )
+    assert d_comp.action == ACTION_UNION
     ranked_q = rank_pool(store, f"q::{compositional.id}", compositional.pool_ids, cfg.k)
-    ranked_u = retrieve(compositional, d_comp, store, k=cfg.k)
+    ranked_u = rank_pool(
+        store,
+        f"q::{compositional.id}",
+        compositional.pool_ids,
+        cfg.k,
+        brel_side_id=text_key(d_comp.b_rel),
+        alpha=d_comp.alpha_used,
+    )
     assert not recall_at_k(ranked_q, compositional.gold_id, cfg.k)
     assert recall_at_k(ranked_u, compositional.gold_id, cfg.k)
-
-
-def test_retrieve_union_requires_sentence():
-    from regime_router.router_retrieval import RoutingDecision
-    from regime_router.corpus import Query
-
-    q = Query(
-        id="q1", question="?", qtype="other", bridge_id="b", gold_id="g",
-        pool_ids=("a",), hop2_title="t",
-    )
-    decision = RoutingDecision(action=ACTION_UNION, p_union=0.9, alpha_used=0.25, b_rel="")
-    with pytest.raises(ValueError, match="requires a selected sentence"):
-        retrieve(q, decision, tiny_store())
 
 
 # ---------------------------------------------------------------------------
