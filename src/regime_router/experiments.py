@@ -12,17 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, Query
+from .corpus import Dataset, Passage, Query
 from .linear_model import LinearModel, predict_proba
 from .router_retrieval import (
     ACTION_UNION,
     RoutingConfig,
+    fuse_scores,
     fusion_alpha,
-    rank_pool,
+    rank_scores,
     recall_at_k,
     route,
 )
-from .selector import oracle_label, select
+from .selector import SelectionResult, oracle_label, select_all
 from .stats import (
     CalibrationFit,
     MarginRecord,
@@ -90,31 +91,40 @@ class QueryTrace:
         }
 
 
+def _bridge_pairs(ds: Dataset) -> list[tuple[Passage, str]]:
+    """(bridge, question) of every query, in dataset order: one selection batch."""
+    return [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
+
+
+def _pool_scores(store: VectorStore, side_id: str, q: Query) -> np.ndarray:
+    """Scores of the query's pool, in pool order, under one query-side text."""
+    return store.score(side_id, "query", [passage_key(p) for p in q.pool_ids])
+
+
+def _hit(q: Query, scores: np.ndarray, k: int) -> bool:
+    return recall_at_k(rank_scores(q.pool_ids, scores, k), q.gold_id, k)
+
+
 def _trace_one(
     q: Query,
     ds: Dataset,
     store: VectorStore,
-    selector_model: LinearModel,
+    selection: SelectionResult,
     router_model: LinearModel,
     cfg: RoutingConfig,
     lex: Lexicons | None,
-) -> QueryTrace:
-    bridge = ds.passage(q.bridge_id)
-    decision = route(q, bridge, selector_model, router_model, cfg, lex)
-    ranked_q = rank_pool(store, question_key(q.id), q.pool_ids, cfg.k)
+) -> tuple[QueryTrace, np.ndarray]:
+    """The query's trace, and its question-side pool scores for reuse."""
+    decision = route(q, ds.passage(q.bridge_id), selection, router_model, cfg, lex)
+    s_q = _pool_scores(store, question_key(q.id), q)
+    ranked_q = rank_scores(q.pool_ids, s_q, cfg.k)
     if decision.b_rel:
-        ranked_u = rank_pool(
-            store,
-            question_key(q.id),
-            q.pool_ids,
-            cfg.k,
-            brel_side_id=text_key(decision.b_rel),
-            alpha=decision.alpha_used,
-        )
+        s_b = _pool_scores(store, text_key(decision.b_rel), q)
+        ranked_u = rank_scores(q.pool_ids, fuse_scores(s_q, s_b, decision.alpha_used), cfg.k)
     else:
         ranked_u = ranked_q
     feats = decision.features
-    return QueryTrace(
+    trace = QueryTrace(
         query_id=q.id,
         qtype=q.qtype,
         features=dict(zip(ROUTER_FEATURE_NAMES, (float(v) for v in feats.as_vector()))),
@@ -128,6 +138,22 @@ def _trace_one(
         hit_q=recall_at_k(ranked_q, q.gold_id, cfg.k),
         hit_union=recall_at_k(ranked_u, q.gold_id, cfg.k),
     )
+    return trace, s_q
+
+
+def _traces_and_scores(
+    ds: Dataset,
+    store: VectorStore,
+    selector_model: LinearModel,
+    router_model: LinearModel,
+    cfg: RoutingConfig,
+    lex: Lexicons | None,
+) -> list[tuple[QueryTrace, np.ndarray]]:
+    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
+    return [
+        _trace_one(q, ds, store, selection, router_model, cfg, lex)
+        for q, selection in zip(ds.queries, selections)
+    ]
 
 
 def trace_queries(
@@ -139,7 +165,7 @@ def trace_queries(
     lex: Lexicons | None = None,
 ) -> list[QueryTrace]:
     cfg = cfg or RoutingConfig()
-    return [_trace_one(q, ds, store, selector_model, router_model, cfg, lex) for q in ds.queries]
+    return [t for t, _ in _traces_and_scores(ds, store, selector_model, router_model, cfg, lex)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +305,8 @@ def compute_margins(
 ) -> list[MarginRecord]:
     """Per-query margins/AUC under the question and the selected sentence."""
     records: list[MarginRecord] = []
-    for q in ds.queries:
+    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
+    for q, selection in zip(ds.queries, selections):
         gold_q, pool_q = _gold_and_pool_scores(store, question_key(q.id), q)
         if pool_q.size == 0:
             records.append(MarginRecord(q.id, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, degenerate=True))
@@ -287,8 +314,6 @@ def compute_margins(
         s_q, sigma_q = separation_margin(gold_q, pool_q)
         auc_q = per_query_auc(gold_q, pool_q)
 
-        bridge = ds.passage(q.bridge_id)
-        selection = select(bridge, q.question, selector_model, lex=lex)
         if selection.abstained:
             records.append(
                 MarginRecord(q.id, s_q, 0.0, sigma_q, 0.0, auc_q, 0.5, degenerate=True)
@@ -547,13 +572,12 @@ def run_knockout(
     """AUC of gold-vs-pool under three bridge variants embedded as queries."""
     records: list[KnockoutRecord] = []
     excluded = 0
-    for q in ds.queries:
-        bridge = ds.passage(q.bridge_id)
-        selection = select(bridge, q.question, selector_model, lex=lex)
+    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
+    for q, selection in zip(ds.queries, selections):
         if selection.abstained:
             excluded += 1
             continue
-        variants = knockout_variants(bridge.body, lex, selection.chosen[1])
+        variants = knockout_variants(ds.passage(q.bridge_id).body, lex, selection.chosen[1])
         if variants is None:
             excluded += 1
             continue
@@ -614,14 +638,6 @@ class OracleReport:
         ]
 
 
-def _union_hit(store: VectorStore, q: Query, brel_text: str, alpha: float, k: int) -> bool:
-    ranked = rank_pool(
-        store, question_key(q.id), q.pool_ids, k,
-        brel_side_id=text_key(brel_text), alpha=alpha,
-    )
-    return recall_at_k(ranked, q.gold_id, k)
-
-
 def run_oracle_analysis(
     ds: Dataset,
     store: VectorStore,
@@ -632,14 +648,15 @@ def run_oracle_analysis(
 ) -> OracleReport:
     """Gap decomposition against oracle selector and oracle router."""
     cfg = cfg or RoutingConfig()
-    traces = trace_queries(ds, store, selector_model, router_model, cfg, lex)
+    traced = _traces_and_scores(ds, store, selector_model, router_model, cfg, lex)
+    traces = [t for t, _ in traced]
     n = len(traces)
     baseline = sum(t.hit_q for t in traces) / n
     learned = sum(t.hit_routed for t in traces) / n
     oracle_router = sum(max(t.hit_q, t.hit_union) for t in traces) / n
 
     oracle_selector_hits = 0
-    for q, t in zip(ds.queries, traces):
+    for q, (t, s_q) in zip(ds.queries, traced):
         bridge = ds.passage(q.bridge_id)
         idx = oracle_label(bridge, q.hop2_title, lex)
         if idx is None:
@@ -650,7 +667,8 @@ def run_oracle_analysis(
         feats = router_features(q.question, brel, bridge.body, lex)
         p = predict_proba(router_model, feats.as_vector())
         if p >= cfg.tau:
-            oracle_selector_hits += _union_hit(store, q, brel, fusion_alpha(p, cfg), cfg.k)
+            s_b = _pool_scores(store, text_key(brel), q)
+            oracle_selector_hits += _hit(q, fuse_scores(s_q, s_b, fusion_alpha(p, cfg)), cfg.k)
         else:
             oracle_selector_hits += t.hit_q
     oracle_selector = oracle_selector_hits / n
@@ -710,15 +728,17 @@ def run_ablations(
     hits_routed_main = 0
     hits_ne = 0
 
-    for q in ds.queries:
+    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
+    for q, selection in zip(ds.queries, selections):
+        # Each side's pool is scored once; every condition fuses these vectors.
         bridge = ds.passage(q.bridge_id)
-        ranked_q = rank_pool(store, question_key(q.id), q.pool_ids, cfg.k)
-        hit_q = recall_at_k(ranked_q, q.gold_id, cfg.k)
+        s_q = _pool_scores(store, question_key(q.id), q)
+        hit_q = _hit(q, s_q, cfg.k)
         hits_q += hit_q
 
-        hits_full_unrouted += _union_hit(store, q, bridge.body, 0.5, cfg.k)
+        s_body = _pool_scores(store, text_key(bridge.body), q)
+        hits_full_unrouted += _hit(q, fuse_scores(s_q, s_body, 0.5), cfg.k)
 
-        selection = select(bridge, q.question, selector_model, lex=lex)
         if selection.abstained:
             hits_brel_unrouted += hit_q
             hits_routed_half += hit_q
@@ -726,16 +746,18 @@ def run_ablations(
             hits_ne += hit_q
             continue
         brel = selection.chosen[0]
-        hits_brel_unrouted += _union_hit(store, q, brel, 0.5, cfg.k)
+        s_b = _pool_scores(store, text_key(brel), q)
+        hit_half = _hit(q, fuse_scores(s_q, s_b, 0.5), cfg.k)
+        hits_brel_unrouted += hit_half
 
         feats = router_features(q.question, brel, bridge.body, lex)
         p = predict_proba(router_model, feats.as_vector())
         union = p >= cfg.tau
-        hits_routed_half += _union_hit(store, q, brel, 0.5, cfg.k) if union else hit_q
-        hits_routed_main += _union_hit(store, q, brel, fusion_alpha(p, cfg), cfg.k) if union else hit_q
+        hits_routed_half += hit_half if union else hit_q
+        hits_routed_main += _hit(q, fuse_scores(s_q, s_b, fusion_alpha(p, cfg)), cfg.k) if union else hit_q
 
         ne_union = feats.b_new_entity_count >= 1 and feats.q_comparison_word == 0
-        hits_ne += _union_hit(store, q, brel, cfg.alpha, cfg.k) if ne_union else hit_q
+        hits_ne += _hit(q, fuse_scores(s_q, s_b, cfg.alpha), cfg.k) if ne_union else hit_q
 
     base = hits_q / n
     rows = [

@@ -1,5 +1,8 @@
 """The deployment pipeline: select, featurize, route, fuse, rank.
 
+Selection runs first, for every query of a dataset in one batch
+(``selector.select_all``); ``route`` takes a query's selection.
+
 Per query the pipeline picks one of two actions. Q ranks the candidate
 pool by the question embedding alone; Union ranks by the convex
 combination (1 - alpha) * s_q + alpha * s_brel, where s_brel scores the
@@ -20,7 +23,7 @@ import numpy as np
 from .corpus import Dataset, Passage, Query
 from .embedding_store import VectorStore, passage_key, question_key, text_key
 from .linear_model import LinearModel, predict_proba
-from .selector import SelectionResult, select
+from .selector import SelectionResult, select, select_all
 from .text_analysis import Lexicons, RouterFeatures, router_features
 
 ACTION_Q = "Q"
@@ -102,14 +105,13 @@ def fuse_scores(q_scores, brel_scores, alpha: float) -> np.ndarray:
 def route(
     q: Query,
     bridge: Passage,
-    selector_model: LinearModel,
+    selection: SelectionResult,
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
     lex: Lexicons | None = None,
 ) -> RoutingDecision:
-    """Select the relation sentence, extract features, pick the action."""
+    """Extract features from the query's selection and pick the action."""
     cfg = cfg or RoutingConfig()
-    selection = select(bridge, q.question, selector_model, lex=lex)
     if selection.abstained:
         # Nothing to fuse with: forced Q, recorded as a fallback.
         feats = router_features(q.question, "", bridge.body, lex)
@@ -134,6 +136,12 @@ def route(
     )
 
 
+def rank_scores(pool_ids, scores: np.ndarray, k: int) -> RankedList:
+    """Rank pool passages by their aligned scores; ties go to the lower id."""
+    order = sorted(zip(pool_ids, scores.tolist()), key=lambda item: (-item[1], item[0]))
+    return RankedList(entries=tuple(order), k=k)
+
+
 def rank_pool(
     store: VectorStore,
     query_side_id: str,
@@ -148,8 +156,7 @@ def rank_pool(
     if brel_side_id is not None:
         brel_scores = store.score(brel_side_id, "query", candidate_keys)
         scores = fuse_scores(scores, brel_scores, alpha)
-    order = sorted(zip(pool_ids, scores.tolist()), key=lambda item: (-item[1], item[0]))
-    return RankedList(entries=tuple(order), k=k)
+    return rank_scores(pool_ids, scores, k)
 
 
 def recall_at_k(ranked: RankedList, gold_id: str, k: int = 5) -> bool:
@@ -208,13 +215,13 @@ def build_router_training(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Router feature matrix and self-supervised labels, in dataset order."""
     cfg = cfg or RoutingConfig()
+    pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
+    selections = select_all(pairs, selector_model, lex=lex)
     rows: list[list[float]] = []
     labels: list[int] = []
-    for q in ds.queries:
-        bridge = ds.passage(q.bridge_id)
-        selection = select(bridge, q.question, selector_model, lex=lex)
+    for q, selection in zip(ds.queries, selections):
         b_rel = "" if selection.abstained else selection.chosen[0]
-        feats = router_features(q.question, b_rel, bridge.body, lex)
+        feats = router_features(q.question, b_rel, ds.passage(q.bridge_id).body, lex)
         rows.append(feats.as_vector())
         labels.append(
             self_supervised_label(

@@ -1,14 +1,18 @@
 """Relation-sentence selection.
 
 Scores every sentence of a bridge passage with a linear model over
-SentenceFeatures, in one call per passage, and returns the argmax
-(lowest index on ties). Oracle labels come from title containment;
-training expands each annotated passage into per-sentence binary rows.
+SentenceFeatures and returns the argmax (lowest index on ties).
+``select_all`` selects for a whole batch of (bridge, question) pairs with
+one predict call over their stacked sentence rows; ``select`` is a batch
+of one, and every protocol selects all its queries in one batch. Oracle
+labels come from title containment; training expands each annotated
+passage into per-sentence binary rows.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +95,48 @@ def train_selector(
     return with_feature_names(model, SENTENCE_FEATURE_NAMES)
 
 
+def select_all(
+    pairs: Sequence[tuple[Passage, str]],
+    model: LinearModel,
+    abstain_threshold: float = 0.0,
+    lex: Lexicons | None = None,
+) -> list[SelectionResult]:
+    """Argmax sentence of every (bridge, question) pair, in one predict call.
+
+    The sentence rows of all pairs are stacked into one matrix; each pair
+    takes the first maximum of its own segment, so the lowest index wins
+    ties. A bridge without sentences abstains.
+    """
+    lex = lex or default_lexicons()
+    splits = [split_sentences(bridge.body, lex) for bridge, _ in pairs]
+    rows = [
+        sentence_features(s.text, question, i, len(sents), lex).as_vector()
+        for (_, question), sents in zip(pairs, splits)
+        for i, s in enumerate(sents)
+    ]
+    if len(rows) == 1:
+        # A one-row product takes numpy's dot path, which sums in another
+        # order than the matrix-vector product every longer batch uses; a
+        # copy of the row keeps a row's score independent of its batch.
+        rows.append(rows[0])
+    probs = predict_proba_matrix(model, rows) if rows else None
+    results: list[SelectionResult] = []
+    lo = 0
+    for sents in splits:
+        if not sents:
+            results.append(SelectionResult(chosen=None, abstained=True))
+            continue
+        segment = probs[lo : lo + len(sents)]
+        lo += len(sents)
+        best_i = int(np.argmax(segment))  # the first maximum: lowest index wins ties
+        best_p = float(segment[best_i])
+        if abstain_threshold > 0.0 and best_p < abstain_threshold:
+            results.append(SelectionResult(chosen=None, abstained=True))
+        else:
+            results.append(SelectionResult(chosen=(sents[best_i].text, best_i, best_p), abstained=False))
+    return results
+
+
 def select(
     bridge: Passage,
     question: str,
@@ -98,18 +144,8 @@ def select(
     abstain_threshold: float = 0.0,
     lex: Lexicons | None = None,
 ) -> SelectionResult:
-    """Argmax sentence by predicted probability; lowest index wins ties."""
-    lex = lex or default_lexicons()
-    sents = split_sentences(bridge.body, lex)
-    if not sents:
-        return SelectionResult(chosen=None, abstained=True)
-    rows = [sentence_features(s.text, question, i, len(sents), lex).as_vector() for i, s in enumerate(sents)]
-    probs = predict_proba_matrix(model, rows)
-    best_i = int(np.argmax(probs))  # the first maximum: lowest index wins ties
-    best_p = float(probs[best_i])
-    if abstain_threshold > 0.0 and best_p < abstain_threshold:
-        return SelectionResult(chosen=None, abstained=True)
-    return SelectionResult(chosen=(sents[best_i].text, best_i, best_p), abstained=False)
+    """``select_all`` for one pair."""
+    return select_all([(bridge, question)], model, abstain_threshold, lex)[0]
 
 
 def selector_accuracy(
@@ -128,8 +164,7 @@ def selector_accuracy(
     if not annotated:
         raise AnnotationError("no annotated passages")
     if model is not None:
-        hits = sum(_argmax_hit(item, model, lex) for item in annotated)
-        return hits / len(annotated)
+        return _argmax_hits(annotated, model, lex) / len(annotated)
     n = len(annotated)
     if n < k:
         raise AnnotationError(f"need at least k={k} annotated passages, got {n}")
@@ -138,15 +173,15 @@ def selector_accuracy(
         held_out = annotated[lo:hi]
         rest = annotated[:lo] + annotated[hi:]
         fold_model = train_selector(rest, cfg, lex)
-        hits += sum(_argmax_hit(item, fold_model, lex) for item in held_out)
+        hits += _argmax_hits(held_out, fold_model, lex)
     return hits / n
 
 
-def _argmax_hit(item: AnnotatedBridge, model: LinearModel, lex: Lexicons | None) -> int:
-    result = select(item.bridge, item.question, model, lex=lex)
-    if result.abstained:
-        return 0
-    return int(result.chosen[1] == item.gold_sentence_index)
+def _argmax_hits(items: list[AnnotatedBridge], model: LinearModel, lex: Lexicons | None) -> int:
+    results = select_all([(item.bridge, item.question) for item in items], model, lex=lex)
+    return sum(
+        not r.abstained and r.chosen[1] == item.gold_sentence_index for r, item in zip(results, items)
+    )
 
 
 def load_annotations(

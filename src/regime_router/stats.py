@@ -97,27 +97,67 @@ def phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def _pairwise_sign_agreement(pred: np.ndarray, obs: np.ndarray, block: int = 512) -> float:
+def _tied_pairs(counts: np.ndarray) -> int:
+    t = counts.astype(np.int64)
+    return int(np.sum(t * (t - 1)) // 2)
+
+
+def _strict_inversions(seq: np.ndarray) -> int:
+    """Pairs i < j with seq[i] > seq[j], for non-negative integer ranks.
+
+    Bottom-up merge sort: at width w, each right run counts the elements
+    of its left run above each of its own, by one searchsorted over all
+    left runs (offset by block so that they form one sorted array), and
+    each block is then merged by one sort of the offset keys.
+    """
+    n = seq.size
+    if n < 2:
+        return 0
+    span = int(seq.max()) + 1
+    idx = np.arange(n)
+    vals = seq.astype(np.int64)
+    inversions = 0
+    w = 1
+    while w < n:
+        block = idx // (2 * w)
+        keys = vals + block * span
+        right = (idx // w) % 2 == 1
+        # Every block with a right run has full left runs before it and its own.
+        below = np.searchsorted(keys[~right], keys[right], side="right") - block[right] * w
+        inversions += int(np.sum(w - below))
+        vals = np.sort(keys) - block * span
+        w *= 2
+    return inversions
+
+
+def _concordance(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    """(concordant, discordant) pair counts; a pair tied in x or y is neither.
+
+    Sorted by (x, y), every strict inversion of y is a discordant pair;
+    the pairs tied in neither are all pairs less the x ties and the y
+    ties plus the joint ties. Inputs must be finite: a NaN has no order.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("values must be finite")
+    n = x.size
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    _, y_ranks = np.unique(ys, return_inverse=True)
+    discordant = _strict_inversions(y_ranks.reshape(-1))
+    run_starts = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True])
+    joint = _tied_pairs(np.diff(run_starts))
+    untied = n * (n - 1) // 2 - _tie_sums(x)[0] - _tie_sums(y)[0] + joint
+    return untied - discordant, discordant
+
+
+def _pairwise_sign_agreement(pred: np.ndarray, obs: np.ndarray) -> float:
     """Fraction of pairs where sign(pred_i - pred_j) == sign(obs_i - obs_j).
 
-    Pairs where either difference is exactly zero are excluded. Blockwise
-    to keep memory bounded at n ~ 10^4.
+    Pairs where either difference is exactly zero are excluded.
     """
-    n = pred.size
-    agree = 0
-    counted = 0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dp = np.sign(pred[lo:hi, None] - pred[None, :])
-        do = np.sign(obs[lo:hi, None] - obs[None, :])
-        mask = (dp != 0) & (do != 0)
-        # Keep only pairs (i, j) with i < j globally.
-        cols = np.arange(n)[None, :]
-        rows = np.arange(lo, hi)[:, None]
-        mask &= rows < cols
-        agree += int(np.sum((dp == do) & mask))
-        counted += int(np.sum(mask))
-    return agree / counted if counted else 0.0
+    concordant, discordant = _concordance(pred, obs)
+    counted = concordant + discordant
+    return concordant / counted if counted else 0.0
 
 
 def calibration_fit(margins, aucs) -> CalibrationFit:
@@ -174,7 +214,7 @@ def _tie_sums(values: np.ndarray) -> tuple[int, int, int]:
     """(sum t(t-1)/2, sum t(t-1)(t-2), sum t(t-1)(2t+5)) over tie groups."""
     _, counts = np.unique(values, return_counts=True)
     t = counts.astype(np.int64)
-    pairs = int(np.sum(t * (t - 1)) // 2)
+    pairs = _tied_pairs(t)
     triples = int(np.sum(t * (t - 1) * (t - 2)))
     v = int(np.sum(t * (t - 1) * (2 * t + 5)))
     return pairs, triples, v
@@ -194,12 +234,7 @@ def kendall_tau(a, b) -> tuple[float, float]:
     if n < 2:
         raise ValueError("need length >= 2")
 
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    prod = dx[iu] * dy[iu]
-    concordant = int(np.sum(prod > 0))
-    discordant = int(np.sum(prod < 0))
+    concordant, discordant = _concordance(x, y)
 
     n0 = n * (n - 1) // 2
     n1, triples_x, vx = _tie_sums(x)

@@ -8,12 +8,18 @@ dependency-light by design: no tagger, no learned components.
 Lexicons ship as plain-text config files (one term per line) under
 ``regime_router/data`` and can be overridden per call.
 
-The two feature extractors read each text through a per-process memo of
-its profile: lowercased words, entity surfaces and the count of tokens
-inside entity spans. The memo is an LRU cache keyed on (text,
-Lexicons), so a text under a custom lexicon never shares a profile with
-the default one, and it holds at most 32,768 texts
-(``_PROFILE_MEMO_SIZE``). Profiles are immutable, so sharing one between
+Each text is split and scanned once per process. ``split_sentences``
+jumps between runs of terminal punctuation with one regex and applies
+the boundary rules per run; its result is memoized as a tuple, and each
+call returns a fresh list. One private scan yields a text's word
+surfaces and sentence-initial flags; ``tokenize`` wraps it, and the span
+rules that ``proper_noun_spans`` applies live in one helper. The two
+feature extractors read a memoized profile built from that scan without
+making Token objects: lowercased words, entity surfaces and the count
+of tokens inside entity spans. Both memos are LRU caches keyed on
+(text, Lexicons), so a text under a custom lexicon never shares a split
+or a profile with the default one, and each holds at most 32,768 texts
+(``_MEMO_SIZE``). Memoized values are immutable, so sharing one between
 callers is safe.
 """
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -28,7 +35,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
-_TERMINALS = ".?!"
+_TERMINAL_RUN_RE = re.compile(r"[.?!]+")
+# Distinct texts per memo: a query adds its question, its bridge body and
+# the body's sentences.
+_MEMO_SIZE = 1 << 15
 
 REGIME_Q_DOMINANT = "Q_dominant"
 REGIME_B_DOMINANT = "B_dominant"
@@ -178,14 +188,8 @@ def _abbreviation_before(text: str, dot_index: int, abbreviations: frozenset[str
     return word.lower() in abbreviations
 
 
-def split_sentences(text: str, lex: Lexicons | None = None) -> list[Sentence]:
-    """Split on ``.?!`` followed by whitespace+capital or end of text.
-
-    An abbreviation guard suppresses period boundaries after known
-    abbreviations and single-letter initials. Returned spans cover every
-    non-whitespace character exactly once; no sentence is empty.
-    """
-    lex = lex or default_lexicons()
+@lru_cache(maxsize=_MEMO_SIZE)
+def _split(text: str, lex: Lexicons) -> tuple[Sentence, ...]:
     sentences: list[Sentence] = []
     n = len(text)
 
@@ -199,53 +203,95 @@ def split_sentences(text: str, lex: Lexicons | None = None) -> list[Sentence]:
             sentences.append(Sentence(text=text[lo:hi], start=lo, end=hi))
 
     start = 0
-    i = 0
-    while i < n:
-        if text[i] not in _TERMINALS:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and text[j + 1] in _TERMINALS:
-            j += 1
+    for run in _TERMINAL_RUN_RE.finditer(text):
+        i, end = run.span()
         # Look past the punctuation run for whitespace then a capital.
-        k = j + 1
+        k = end
         while k < n and text[k].isspace():
             k += 1
         if k >= n:
             boundary = True
-        elif k == j + 1:
+        elif k == end:
             boundary = False  # no whitespace between punctuation and next char
         elif not text[k].isupper():
             boundary = False
-        elif text[i] == "." and i == j and _abbreviation_before(text, i, lex.abbreviations):
+        elif end - i == 1 and text[i] == "." and _abbreviation_before(text, i, lex.abbreviations):
             boundary = False
         else:
             boundary = True
         if boundary:
-            emit(start, j + 1)
-            start = j + 1
-        i = j + 1
+            emit(start, end)
+            start = end
     emit(start, n)
-    return sentences
+    return tuple(sentences)
+
+
+def split_sentences(text: str, lex: Lexicons | None = None) -> list[Sentence]:
+    """Split on ``.?!`` followed by whitespace+capital or end of text.
+
+    An abbreviation guard suppresses period boundaries after known
+    abbreviations and single-letter initials. Returned spans cover every
+    non-whitespace character exactly once; no sentence is empty. Each
+    call returns a fresh list from the per-process memo.
+    """
+    return list(_split(text, lex or default_lexicons()))
+
+
+def _scan(text: str, lex: Lexicons) -> tuple[list[str], list[int], list[bool]]:
+    """Word surfaces, their start offsets and sentence-initial flags.
+
+    A word is sentence-initial when it is the first word at or after the
+    start of some sentence.
+    """
+    surfaces: list[str] = []
+    starts: list[int] = []
+    for m in _WORD_RE.finditer(text):
+        surfaces.append(m.group())
+        starts.append(m.start())
+    initial = [False] * len(starts)
+    for sent in _split(text, lex):
+        i = bisect_left(starts, sent.start)
+        if i < len(starts):
+            initial[i] = True
+    return surfaces, starts, initial
 
 
 def tokenize(text: str, lex: Lexicons | None = None) -> TokenizedText:
     """Word tokenization with char spans and sentence-initial flags."""
-    sentences = split_sentences(text, lex)
-    starts = [s.start for s in sentences]
-    tokens: list[Token] = []
-    si = 0  # next sentence whose initial token is pending
-    for m in _WORD_RE.finditer(text):
-        initial = False
-        while si < len(starts) and m.start() >= starts[si]:
-            initial = True
-            si += 1
-        tokens.append(Token(m.group(), m.start(), m.end(), initial))
-    return TokenizedText(tokens=tuple(tokens))
+    surfaces, starts, initial = _scan(text, lex or default_lexicons())
+    return TokenizedText(
+        tokens=tuple(
+            Token(surface, start, start + len(surface), ini)
+            for surface, start, ini in zip(surfaces, starts, initial)
+        )
+    )
 
 
 def _is_capitalized(surface: str) -> bool:
     return bool(surface) and surface[0].isupper()
+
+
+def _entity_runs(
+    surfaces: list[str], initial: list[bool], stopwords: frozenset[str]
+) -> list[tuple[int, int]]:
+    """The span rules of ``proper_noun_spans``, as inclusive token-index runs."""
+    caps = [_is_capitalized(s) for s in surfaces]
+    mid_caps = {s for s, c, ini in zip(surfaces, caps, initial) if c and not ini}
+    runs: list[tuple[int, int]] = []
+    n = len(surfaces)
+    i = 0
+    while i < n:
+        if not caps[i] or surfaces[i].lower() in stopwords:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and caps[j + 1]:
+            j += 1
+        lone_initial = initial[i] and j == i and surfaces[i] not in mid_caps
+        if not lone_initial:
+            runs.append((i, j))
+        i = j + 1
+    return runs
 
 
 def proper_noun_spans(t: TokenizedText, lex: Lexicons | None = None) -> list[EntitySpan]:
@@ -258,29 +304,12 @@ def proper_noun_spans(t: TokenizedText, lex: Lexicons | None = None) -> list[Ent
     continue one.
     """
     lex = lex or default_lexicons()
-    toks = t.tokens
-    caps = [_is_capitalized(tok.surface) for tok in toks]
-    mid_caps = {tok.surface for tok, c in zip(toks, caps) if c and not tok.sentence_initial}
-    spans: list[EntitySpan] = []
-    i = 0
-    while i < len(toks):
-        if not caps[i] or toks[i].surface.lower() in lex.span_stopwords:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(toks) and caps[j + 1]:
-            j += 1
-        lone_initial = toks[i].sentence_initial and j == i and toks[i].surface not in mid_caps
-        if not lone_initial:
-            spans.append(
-                EntitySpan(
-                    first_token=i,
-                    last_token=j,
-                    surface=" ".join(tok.surface for tok in toks[i : j + 1]),
-                )
-            )
-        i = j + 1
-    return spans
+    surfaces = [tok.surface for tok in t.tokens]
+    initial = [tok.sentence_initial for tok in t.tokens]
+    return [
+        EntitySpan(first_token=i, last_token=j, surface=" ".join(surfaces[i : j + 1]))
+        for i, j in _entity_runs(surfaces, initial, lex.span_stopwords)
+    ]
 
 
 def span_surfaces(spans: list[EntitySpan]) -> set[str]:
@@ -328,17 +357,14 @@ class _Profile(NamedTuple):
     entity_tokens: int  # tokens inside those spans
 
 
-_PROFILE_MEMO_SIZE = 1 << 15  # distinct texts: a query adds its question and bridge sentences
-
-
-@lru_cache(maxsize=_PROFILE_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _profile(text: str, lex: Lexicons) -> _Profile:
-    toks = tokenize(text, lex)
-    spans = proper_noun_spans(toks, lex)
+    surfaces, _, initial = _scan(text, lex)
+    runs = _entity_runs(surfaces, initial, lex.span_stopwords)
     return _Profile(
-        words=tuple(tok.surface.lower() for tok in toks.tokens),
-        entities=frozenset(span_surfaces(spans)),
-        entity_tokens=sum(sp.token_count for sp in spans),
+        words=tuple(s.lower() for s in surfaces),
+        entities=frozenset(normalize_text(" ".join(surfaces[i : j + 1])) for i, j in runs),
+        entity_tokens=sum(j - i + 1 for i, j in runs),
     )
 
 

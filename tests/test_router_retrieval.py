@@ -19,7 +19,7 @@ from regime_router.router_retrieval import (
     route,
     self_supervised_label,
 )
-from regime_router.selector import train_selector
+from regime_router.selector import select, select_all, train_selector
 from regime_router.text_analysis import ROUTER_FEATURE_NAMES
 
 
@@ -193,8 +193,9 @@ def test_route_actions_split_by_question_type(trained):
     ds, store, selector_model, router_model = trained
     cfg = RoutingConfig()
     actions = {}
-    for q in ds.queries:
-        decision = route(q, ds.passage(q.bridge_id), selector_model, router_model, cfg)
+    selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector_model)
+    for q, selection in zip(ds.queries, selections):
+        decision = route(q, ds.passage(q.bridge_id), selection, router_model, cfg)
         actions[q.id] = decision
         assert decision.features is not None
         assert 0.0 <= decision.p_union <= 1.0
@@ -211,7 +212,8 @@ def test_route_p_weighted_alpha(trained):
     ds, store, selector_model, router_model = trained
     cfg = RoutingConfig(alpha_mode="p_weighted")
     q = ds.queries[1]
-    decision = route(q, ds.passage(q.bridge_id), selector_model, router_model, cfg)
+    bridge = ds.passage(q.bridge_id)
+    decision = route(q, bridge, select(bridge, q.question, selector_model), router_model, cfg)
     assert decision.alpha_used == pytest.approx(clip_alpha(decision.p_union))
 
 
@@ -219,7 +221,9 @@ def test_route_fallback_on_abstention(trained):
     ds, store, selector_model, router_model = trained
     q = ds.queries[0]
     empty_bridge = Passage(id="hollow", title="Hollow", body="   ")
-    decision = route(q, empty_bridge, selector_model, router_model)
+    selection = select(empty_bridge, q.question, selector_model)
+    assert selection.abstained
+    decision = route(q, empty_bridge, selection, router_model)
     assert decision.fallback
     assert decision.action == ACTION_Q
     assert decision.p_union == 0.0
@@ -234,14 +238,16 @@ def test_rank_pool_under_both_actions(trained):
     comparison = ds.queries[0]
     compositional = ds.queries[1]
 
-    d_cmp = route(comparison, ds.passage(comparison.bridge_id), selector_model, router_model, cfg)
+    cmp_bridge = ds.passage(comparison.bridge_id)
+    cmp_selection = select(cmp_bridge, comparison.question, selector_model)
+    d_cmp = route(comparison, cmp_bridge, cmp_selection, router_model, cfg)
     assert d_cmp.action == ACTION_Q
     ranked = rank_pool(store, f"q::{comparison.id}", comparison.pool_ids, cfg.k)
     assert recall_at_k(ranked, comparison.gold_id, cfg.k)
 
-    d_comp = route(
-        compositional, ds.passage(compositional.bridge_id), selector_model, router_model, cfg
-    )
+    comp_bridge = ds.passage(compositional.bridge_id)
+    comp_selection = select(comp_bridge, compositional.question, selector_model)
+    d_comp = route(compositional, comp_bridge, comp_selection, router_model, cfg)
     assert d_comp.action == ACTION_UNION
     ranked_q = rank_pool(store, f"q::{compositional.id}", compositional.pool_ids, cfg.k)
     ranked_u = rank_pool(
@@ -292,8 +298,6 @@ def test_label_abstention_is_zero(trained):
 
 def test_label_precomputed_selection(trained):
     ds, store, selector_model, _ = trained
-    from regime_router.selector import select
-
     q = ds.queries[1]
     selection = select(ds.passage(q.bridge_id), q.question, selector_model)
     direct = self_supervised_label(q, store, selector_model, selection=selection)

@@ -1,7 +1,10 @@
 import json
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regime_router.corpus import Passage
 from regime_router.linear_model import TrainConfig
@@ -11,6 +14,7 @@ from regime_router.selector import (
     load_annotations,
     oracle_label,
     select,
+    select_all,
     selector_accuracy,
     train_selector,
 )
@@ -114,6 +118,47 @@ def test_select_tie_breaks_to_lowest_index():
     result = select(bridge("bdup", body), "Who founded the relay point?", blind)
     assert result.chosen[:2] == (dup, 1)
     assert result == select(bridge("bdup", body), "Who founded the relay point?", blind)
+
+
+@lru_cache(maxsize=1)
+def pool_model():
+    return train_selector(annotated_pool())
+
+
+_WORDS = (
+    "Kara", "Voss", "Mora", "Quill", "Aurora", "Station", "Old", "Harbor", "Relay", "Point",
+    "married", "founded", "wrote", "the", "keeper", "of", "to", "in", "1871", "rain", "couriers",
+)
+# Sentences of varied length, entity density and relation verbs, so that
+# every selector feature moves and the scores use all five weights.
+_sentences = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12).map(
+    lambda words: " ".join(words).capitalize() + "."
+)
+_bodies = st.one_of(
+    st.sampled_from(("", "   ", "\n\t")),  # no sentences: abstains
+    st.lists(st.one_of(_sentences, st.just("Dr. Smith wrote to J. K. Rowling.")), min_size=1, max_size=6).map(
+        " ".join
+    ),
+)
+_questions = st.lists(st.sampled_from(_WORDS), max_size=6).map(lambda words: "Who " + " ".join(words) + "?")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_bodies, _questions), max_size=8),
+    st.sampled_from((0.0, 0.05, 0.3, 0.6, 0.99)),
+)
+def test_select_all_equals_per_bridge_select(items, threshold):
+    model = pool_model()
+    pairs = [(bridge(f"b{i}", body), question) for i, (body, question) in enumerate(items)]
+    batch = select_all(pairs, model, abstain_threshold=threshold)
+    one_by_one = [select(b, question, model, abstain_threshold=threshold) for b, question in pairs]
+    # Bit for bit: the chosen text, its index and its confidence.
+    assert batch == one_by_one
+
+
+def test_select_all_of_nothing():
+    assert select_all([], pool_model()) == []
 
 
 def test_train_selector_rejects_bad_index():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from regime_router.stats import (
     MarginRecord,
+    _concordance,
+    _pairwise_sign_agreement,
     calibration_fit,
     cantelli_check,
     cohen_kappa,
@@ -139,6 +141,66 @@ def test_calibration_needs_three_points():
         calibration_fit([(0.1, 0.2), (0.2, 0.2)], [0.6, 0.7])
     with pytest.raises(ValueError):
         calibration_fit([(0.1, 0.2)], [0.6, 0.7])
+
+
+# ---------------------------------------------------------------------------
+# Concordance counts against the O(n^2) pairwise code they replaced
+
+
+def reference_pairwise_sign_agreement(pred: np.ndarray, obs: np.ndarray, block: int = 512) -> float:
+    n = pred.size
+    agree = 0
+    counted = 0
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dp = np.sign(pred[lo:hi, None] - pred[None, :])
+        do = np.sign(obs[lo:hi, None] - obs[None, :])
+        mask = (dp != 0) & (do != 0)
+        # Keep only pairs (i, j) with i < j globally.
+        cols = np.arange(n)[None, :]
+        rows = np.arange(lo, hi)[:, None]
+        mask &= rows < cols
+        agree += int(np.sum((dp == do) & mask))
+        counted += int(np.sum(mask))
+    return agree / counted if counted else 0.0
+
+
+def reference_concordance(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    iu = np.triu_indices(x.size, k=1)
+    prod = dx[iu] * dy[iu]
+    return int(np.sum(prod > 0)), int(np.sum(prod < 0))
+
+
+# Few distinct values, so most pairs tie in x, in y or in both; signed
+# zeros tie with each other.
+_tied_values = st.sampled_from((0.0, -0.0, 1.0, 2.0, 2.5, -3.0))
+_value_pairs = st.lists(st.tuples(_tied_values, st.one_of(_tied_values, st.floats(-2, 2))), max_size=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_value_pairs)
+def test_concordance_matches_pairwise_reference_with_heavy_ties(pairs):
+    x = np.array([a for a, _ in pairs], dtype=float)
+    y = np.array([b for _, b in pairs], dtype=float)
+    assert _concordance(x, y) == reference_concordance(x, y)
+    assert _pairwise_sign_agreement(x, y) == reference_pairwise_sign_agreement(x, y)
+
+
+def test_sign_agreement_matches_reference_across_blocks():
+    rng = np.random.default_rng(11)
+    for n, levels in ((1537, 7), (2048, 3), (700, 700)):
+        pred = rng.integers(0, levels, size=n) / levels
+        obs = np.round(pred + rng.normal(0, 0.2, size=n), 1)
+        assert _pairwise_sign_agreement(pred, obs) == reference_pairwise_sign_agreement(pred, obs)
+
+
+def test_concordance_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        kendall_tau([1.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        _pairwise_sign_agreement(np.array([0.6, 0.7, 0.8]), np.array([0.6, math.inf, 0.7]))
 
 
 # ---------------------------------------------------------------------------

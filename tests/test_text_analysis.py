@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,13 @@ from regime_router.text_analysis import (
     REGIME_UNCOVERED,
     ROUTER_FEATURE_NAMES,
     SENTENCE_FEATURE_NAMES,
+    EntitySpan,
     Lexicons,
     RouterFeatures,
+    Sentence,
     SentenceFeatures,
+    Token,
+    TokenizedText,
     assign_regime,
     default_lexicons,
     normalize_text,
@@ -308,15 +313,15 @@ def test_custom_lexicons_get_their_own_profiles(tmp_path):
 
 
 def reference_router_features(question, b_rel, bridge_body, lex):
-    q_toks = tokenize(question, lex)
+    q_toks = reference_tokenize(question, lex)
     lowered = [tok.surface.lower() for tok in q_toks.tokens]
     q_comparison = int(any(w in lex.comparison for w in lowered))
     q_ynstart = int(bool(lowered) and lowered[0] in lex.ynstart)
-    q_surfaces = span_surfaces(proper_noun_spans(q_toks, lex))
-    b_toks = tokenize(b_rel, lex)
-    b_surfaces = span_surfaces(proper_noun_spans(b_toks, lex))
+    q_surfaces = span_surfaces(reference_proper_noun_spans(q_toks, lex))
+    b_toks = reference_tokenize(b_rel, lex)
+    b_surfaces = span_surfaces(reference_proper_noun_spans(b_toks, lex))
     brel_len = len(b_toks.tokens)
-    body_len = len(tokenize(bridge_body, lex).tokens)
+    body_len = len(reference_tokenize(bridge_body, lex).tokens)
     frac = 0.0 if brel_len == 0 or body_len == 0 else min(1.0, brel_len / body_len)
     return RouterFeatures(
         q_comparison_word=q_comparison,
@@ -328,9 +333,9 @@ def reference_router_features(question, b_rel, bridge_body, lex):
 
 
 def reference_sentence_features(sent, question, index, total, lex):
-    s_toks = tokenize(sent, lex)
-    spans = proper_noun_spans(s_toks, lex)
-    q_surfaces = span_surfaces(proper_noun_spans(tokenize(question, lex), lex))
+    s_toks = reference_tokenize(sent, lex)
+    spans = reference_proper_noun_spans(s_toks, lex)
+    q_surfaces = span_surfaces(reference_proper_noun_spans(reference_tokenize(question, lex), lex))
     length = len(s_toks.tokens)
     covered = sum(sp.token_count for sp in spans)
     return SentenceFeatures(
@@ -373,3 +378,179 @@ def test_features_match_the_retokenizing_reference(question, b_rel, body, total,
         assert sentence_features(body, b_rel, index, total) == reference_sentence_features(
             body, b_rel, index, total, lex
         )
+
+
+# ---------------------------------------------------------------------------
+# The splitter, tokenizer and span rules against a frozen reference
+#
+# The functions below are the character-by-character splitter, the
+# Token-building tokenizer and the span rules as they stood before the
+# shared scan, kept verbatim (renamed) so that the memoized regex
+# splitter and the shared scan are checked against code that shares
+# nothing with them.
+
+_REFERENCE_WORD_RE = re.compile(r"\w+", re.UNICODE)
+_REFERENCE_TERMINALS = ".?!"
+
+
+def _reference_abbreviation_before(text: str, dot_index: int, abbreviations: frozenset[str]) -> bool:
+    # Collect the word (letters and internal dots) immediately left of the dot.
+    j = dot_index
+    while j > 0 and (text[j - 1].isalpha() or text[j - 1] == "."):
+        j -= 1
+    word = text[j:dot_index].rstrip(".")
+    if not word:
+        return False
+    if len(word) == 1 and word.isalpha() and word.isupper():
+        return True  # initials such as "J." in "J. Smith"
+    return word.lower() in abbreviations
+
+
+def reference_split_sentences(text: str, lex: Lexicons | None = None) -> list[Sentence]:
+    """Split on ``.?!`` followed by whitespace+capital or end of text.
+
+    An abbreviation guard suppresses period boundaries after known
+    abbreviations and single-letter initials. Returned spans cover every
+    non-whitespace character exactly once; no sentence is empty.
+    """
+    lex = lex or default_lexicons()
+    sentences: list[Sentence] = []
+    n = len(text)
+
+    def emit(seg_start: int, seg_end: int) -> None:
+        lo, hi = seg_start, seg_end
+        while lo < hi and text[lo].isspace():
+            lo += 1
+        while hi > lo and text[hi - 1].isspace():
+            hi -= 1
+        if lo < hi:
+            sentences.append(Sentence(text=text[lo:hi], start=lo, end=hi))
+
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] not in _REFERENCE_TERMINALS:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and text[j + 1] in _REFERENCE_TERMINALS:
+            j += 1
+        # Look past the punctuation run for whitespace then a capital.
+        k = j + 1
+        while k < n and text[k].isspace():
+            k += 1
+        if k >= n:
+            boundary = True
+        elif k == j + 1:
+            boundary = False  # no whitespace between punctuation and next char
+        elif not text[k].isupper():
+            boundary = False
+        elif text[i] == "." and i == j and _reference_abbreviation_before(text, i, lex.abbreviations):
+            boundary = False
+        else:
+            boundary = True
+        if boundary:
+            emit(start, j + 1)
+            start = j + 1
+        i = j + 1
+    emit(start, n)
+    return sentences
+
+
+def reference_tokenize(text: str, lex: Lexicons | None = None) -> TokenizedText:
+    """Word tokenization with char spans and sentence-initial flags."""
+    sentences = reference_split_sentences(text, lex)
+    starts = [s.start for s in sentences]
+    tokens: list[Token] = []
+    si = 0  # next sentence whose initial token is pending
+    for m in _REFERENCE_WORD_RE.finditer(text):
+        initial = False
+        while si < len(starts) and m.start() >= starts[si]:
+            initial = True
+            si += 1
+        tokens.append(Token(m.group(), m.start(), m.end(), initial))
+    return TokenizedText(tokens=tuple(tokens))
+
+
+def _reference_is_capitalized(surface: str) -> bool:
+    return bool(surface) and surface[0].isupper()
+
+
+def reference_proper_noun_spans(t: TokenizedText, lex: Lexicons | None = None) -> list[EntitySpan]:
+    """Maximal runs of capitalized tokens, filtered by the span rules.
+
+    A sentence-initial capitalized token is excluded unless its run
+    continues with another capitalized token or the same surface recurs
+    capitalized at a non-initial position elsewhere. Stopword tokens
+    ("The", "A", question words, ...) never start a span, though they may
+    continue one.
+    """
+    lex = lex or default_lexicons()
+    toks = t.tokens
+    caps = [_reference_is_capitalized(tok.surface) for tok in toks]
+    mid_caps = {tok.surface for tok, c in zip(toks, caps) if c and not tok.sentence_initial}
+    spans: list[EntitySpan] = []
+    i = 0
+    while i < len(toks):
+        if not caps[i] or toks[i].surface.lower() in lex.span_stopwords:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(toks) and caps[j + 1]:
+            j += 1
+        lone_initial = toks[i].sentence_initial and j == i and toks[i].surface not in mid_caps
+        if not lone_initial:
+            spans.append(
+                EntitySpan(
+                    first_token=i,
+                    last_token=j,
+                    surface=" ".join(tok.surface for tok in toks[i : j + 1]),
+                )
+            )
+        i = j + 1
+    return spans
+
+
+_SPLIT_PIECES = _PIECES + (
+    "...", "?!?", "!!", "Mr.", "a.", "X.", "Ph.D.", "etc.", "No.", "e.g. Rome", "J...", "Dr.?", "Mr..",
+    "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "\t", " \n ",
+    "Élan", "Ärger", "İstanbul", "ß", "ǅ", "٣", "x", "Q",
+)
+_split_texts = st.one_of(
+    st.text(max_size=120),
+    st.lists(st.sampled_from(_SPLIT_PIECES), max_size=24).map("".join),
+    st.lists(st.sampled_from(_SPLIT_PIECES), max_size=24).map(" ".join),
+    st.tuples(st.sampled_from((".", "?!", "!", ". ", " ?")), _sentences).map("".join),  # leading terminals
+    st.tuples(_sentences, st.sampled_from(("", ".", "?!", " and a fragment", ". and more"))).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_texts, st.booleans())
+def test_split_tokenize_and_spans_match_the_frozen_reference(text, custom):
+    lex = None
+    if custom:  # a lexicon whose abbreviations differ from the default's
+        lex = Lexicons(**{**vars(default_lexicons()), "abbreviations": frozenset({"mr", "a", "etc"})})
+    want_sents = reference_split_sentences(text, lex)
+    want_toks = reference_tokenize(text, lex)
+    want_spans = reference_proper_noun_spans(want_toks, lex)
+    # Twice each: the second call is served from the split memo.
+    for _ in range(2):
+        got = split_sentences(text, lex)
+        assert got == want_sents
+        got.clear()  # each call owns its list
+        assert tokenize(text, lex) == want_toks
+        assert proper_noun_spans(tokenize(text, lex), lex) == want_spans
+
+
+def test_split_reference_cases_match():
+    for text in (
+        "Dr. Smith arrived. J. K. Rowling wrote it.",
+        "What?! Really?! Yes.",
+        "?! Leading run. Then more",
+        "Tail\u00a0fragment.\u2003Next one.\u3000And a last",
+        "No break.here. Break. Here",
+        "He met J... Then left. Dr.. Then Mr.? Yes.",
+    ):
+        assert split_sentences(text) == reference_split_sentences(text)
+        assert tokenize(text) == reference_tokenize(text)
