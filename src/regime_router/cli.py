@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .atomic import atomic_write
 from .corpus import (
     DanglingIdError,
     Dataset,
@@ -213,14 +214,17 @@ def _apply_hop1_filter(ds: Dataset, args: argparse.Namespace, k: int) -> Dataset
     return filtered
 
 
+# Artifacts are written to a temporary file renamed over the old one, so a
+# failed run never leaves a torn artifact behind.
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -403,7 +407,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report_path = out_dir / f"eval_{ds.name}.json"
     _write_json(report_path, payload)
     trace_path = out_dir / f"eval_{ds.name}_trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with atomic_write(trace_path, encoding="utf-8") as fh:
         for t in report.traces:
             fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
     header, rows = report.csv_rows()

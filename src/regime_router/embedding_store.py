@@ -11,12 +11,16 @@ step of the CLI.
 
 In memory a store is one read-only n x dim float64 matrix, one row per
 (id, mode) key, plus a dict from key to row. Loading copies each f32
-record into its row and normalizes all rows at once; scoring gathers the
-candidate rows and takes one BLAS dot per row. Both use the per-vector
-dot that ``np.linalg.norm`` and ``np.dot`` use, so every norm and score
-is bit-identical to the per-vector computation (a matrix-vector product
-would sum in another order). A file that repeats an (id, mode) key is
-rejected.
+record into its row and normalizes all rows at once. One kernel,
+``score_rows``, scores: it takes an n x m matrix of candidate rows and one
+or more query-side rows per query, gathers the candidates in chunks of
+about 2 MB and dots each chunk with every side, one BLAS dot per pair.
+A whole protocol's pools are thus scored as one matrix per side,
+gathered once; ``VectorStore.score`` is its one-row case. Norms and
+scores use the per-vector dot that ``np.linalg.norm`` and ``np.dot``
+use, so each is bit-identical to the per-vector computation (a
+matrix-vector product or ``einsum`` would sum in another order). A file
+that repeats an (id, mode) key is rejected.
 
 Text ids are namespaced to keep questions, passages, and derived texts
 (selected sentences, knockout variants) from colliding:
@@ -53,6 +57,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -190,21 +196,17 @@ class VectorStore:
         except KeyError:
             raise MissingEmbeddingError(text_id, mode) from None
 
-    def score(self, text_id: str, mode: str, candidate_ids) -> np.ndarray:
-        """Inner products of one query-side vector against doc-mode candidates.
-
-        The candidates' rows are gathered and each is dotted with the query
-        by BLAS, so every score is bit-identical to ``np.dot`` of the two
-        vectors. A matrix-vector product (``gathered @ q``) sums in another
-        order and is not.
-        """
-        qv = self.get(text_id, mode)
+    def rows(self, text_ids, mode: str) -> np.ndarray:
+        """The matrix row of each (text-id, mode) key, in order."""
         try:
-            idx = [self._rows[(cid, MODE_DOC)] for cid in candidate_ids]
+            return np.array([self._rows[(text_id, mode)] for text_id in text_ids], dtype=np.intp)
         except KeyError as exc:
-            raise MissingEmbeddingError(exc.args[0][0], MODE_DOC) from None
-        gathered = self._matrix[idx]
-        return np.matmul(gathered[:, None, :], qv[:, None])[:, 0, 0]
+            raise MissingEmbeddingError(exc.args[0][0], mode) from None
+
+    def score(self, text_id: str, mode: str, candidate_ids) -> np.ndarray:
+        """Inner products of one query-side vector against doc-mode candidates."""
+        side = self.rows([text_id], mode)
+        return score_rows(self, side[None, :], self.rows(candidate_ids, MODE_DOC)[None, :])[0, 0]
 
     def merged(self, other_entries: dict[tuple[str, str], np.ndarray]) -> VectorStore:
         """A new store with ``other_entries`` added; an entry replaces the vector of its key.
@@ -221,31 +223,49 @@ class VectorStore:
         return VectorStore._from_matrix(matrix, rows)
 
 
+_SCORE_CHUNK_BYTES = 2 << 20
+
+
+def score_rows(store: VectorStore, side_rows, candidate_rows) -> np.ndarray:
+    """Score matrices: entry (k, i, j) is row ``side_rows[k, i]`` dotted with row ``candidate_rows[i, j]``.
+
+    Rows index ``store``'s matrix (see ``VectorStore.rows``); side k gives
+    query i its k-th query-side vector. The candidate rows are gathered a
+    chunk of queries at a time, each chunk at most about 2 MB, and scored
+    against every side before the next chunk. Every pair is one BLAS dot,
+    so each score is bit-identical to ``np.dot`` of the two vectors.
+    """
+    side_rows = np.asarray(side_rows, dtype=np.intp)
+    candidate_rows = np.asarray(candidate_rows, dtype=np.intp)
+    n, m = candidate_rows.shape
+    matrix = store._matrix
+    step = max(1, _SCORE_CHUNK_BYTES // max(1, m * store.dim * matrix.itemsize))
+    out = np.empty((len(side_rows), n, m))
+    for lo in range(0, n, step):
+        gathered = matrix[candidate_rows[lo : lo + step]][:, :, None, :]
+        for k, sides in enumerate(side_rows[:, lo : lo + step]):
+            out[k, lo : lo + step] = np.matmul(gathered, matrix[sides][:, None, :, None])[:, :, 0, 0]
+    return out
+
+
 def save_vectors(store: VectorStore, path: Path | str) -> None:
     """Write the binary format; records sorted by (id, mode) for determinism.
 
     The file is written beside ``path`` and renamed over it, so a failure
     mid-write leaves any previous store intact.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", store.dim))
-            for (text_id, mode) in sorted(store.keys()):
-                vec = store.get(text_id, mode)
-                id_bytes = text_id.encode("utf-8")
-                if len(id_bytes) > 0xFFFF:
-                    raise VectorFormatError(f"id too long ({len(id_bytes)} bytes)")
-                fh.write(struct.pack("<H", len(id_bytes)))
-                fh.write(id_bytes)
-                fh.write(struct.pack("<B", _MODE_TO_BYTE[mode]))
-                fh.write(vec.astype("<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", store.dim))
+        for (text_id, mode) in sorted(store.keys()):
+            vec = store.get(text_id, mode)
+            id_bytes = text_id.encode("utf-8")
+            if len(id_bytes) > 0xFFFF:
+                raise VectorFormatError(f"id too long ({len(id_bytes)} bytes)")
+            fh.write(struct.pack("<H", len(id_bytes)))
+            fh.write(id_bytes)
+            fh.write(struct.pack("<B", _MODE_TO_BYTE[mode]))
+            fh.write(vec.astype("<f4").tobytes())
 
 
 def load_vectors(path: Path | str) -> VectorStore:

@@ -2,8 +2,14 @@
 
 Every experiment is a pure pipeline: immutable inputs in, a report
 dataclass out. Reports expose ``to_json_dict`` for the JSON emitters and
-``csv_rows`` (header, rows) for plot-ready CSV. Per-query work runs in
-dataset order, so results are deterministic.
+``csv_rows`` (header, rows) for plot-ready CSV.
+
+Selection and routing run per query, in dataset order. Scoring does not:
+each protocol builds one ``PoolIndex`` over its queries and scores each
+query side (question, selected or oracle sentence, bridge body, knockout
+variant) as one queries x pool matrix. Fused rankings, gold ranks, hits,
+margins and AUCs are whole-matrix reductions of those matrices, equal bit
+for bit to ranking each pool alone, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -12,28 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, Passage, Query
+from .corpus import Dataset, Passage
 from .linear_model import LinearModel, predict_proba
 from .router_retrieval import (
     ACTION_UNION,
+    PoolIndex,
     RoutingConfig,
+    RoutingDecision,
     fuse_scores,
     fusion_alpha,
-    rank_scores,
-    recall_at_k,
+    hits_at_k,
     route,
+    text_sides,
 )
-from .selector import SelectionResult, oracle_label, select_all
+from .selector import oracle_label, select_all
 from .stats import (
     CalibrationFit,
     MarginRecord,
     calibration_fit,
     cohen_kappa,
     mcnemar,
-    per_query_auc,
-    separation_margin,
 )
-from .embedding_store import VectorStore, passage_key, question_key, text_key
+from .embedding_store import VectorStore, question_key, text_key
 from .text_analysis import (
     REGIME_B_DOMINANT,
     REGIME_Q_DOMINANT,
@@ -96,64 +102,50 @@ def _bridge_pairs(ds: Dataset) -> list[tuple[Passage, str]]:
     return [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
 
 
-def _pool_scores(store: VectorStore, side_id: str, q: Query) -> np.ndarray:
-    """Scores of the query's pool, in pool order, under one query-side text."""
-    return store.score(side_id, "query", [passage_key(p) for p in q.pool_ids])
+def _decisions(ds: Dataset, selector_model, router_model, cfg: RoutingConfig, lex) -> list[RoutingDecision]:
+    """Every query's routing decision, from one selection batch."""
+    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
+    return [route(q, ds.passage(q.bridge_id), s, router_model, cfg, lex) for q, s in zip(ds.queries, selections)]
 
 
-def _hit(q: Query, scores: np.ndarray, k: int) -> bool:
-    return recall_at_k(rank_scores(q.pool_ids, scores, k), q.gold_id, k)
-
-
-def _trace_one(
-    q: Query,
-    ds: Dataset,
-    store: VectorStore,
-    selection: SelectionResult,
-    router_model: LinearModel,
-    cfg: RoutingConfig,
-    lex: Lexicons | None,
-) -> tuple[QueryTrace, np.ndarray]:
-    """The query's trace, and its question-side pool scores for reuse."""
-    decision = route(q, ds.passage(q.bridge_id), selection, router_model, cfg, lex)
-    s_q = _pool_scores(store, question_key(q.id), q)
-    ranked_q = rank_scores(q.pool_ids, s_q, cfg.k)
-    if decision.b_rel:
-        s_b = _pool_scores(store, text_key(decision.b_rel), q)
-        ranked_u = rank_scores(q.pool_ids, fuse_scores(s_q, s_b, decision.alpha_used), cfg.k)
-    else:
-        ranked_u = ranked_q
-    feats = decision.features
-    trace = QueryTrace(
-        query_id=q.id,
-        qtype=q.qtype,
-        features=dict(zip(ROUTER_FEATURE_NAMES, (float(v) for v in feats.as_vector()))),
-        p_union=decision.p_union,
-        alpha_used=decision.alpha_used,
-        action=decision.action,
-        fallback=decision.fallback,
-        b_rel=decision.b_rel,
-        rank_q=ranked_q.rank_of(q.gold_id),
-        rank_union=ranked_u.rank_of(q.gold_id),
-        hit_q=recall_at_k(ranked_q, q.gold_id, cfg.k),
-        hit_union=recall_at_k(ranked_u, q.gold_id, cfg.k),
-    )
-    return trace, s_q
-
-
-def _traces_and_scores(
+def _traced(
     ds: Dataset,
     store: VectorStore,
     selector_model: LinearModel,
     router_model: LinearModel,
     cfg: RoutingConfig,
     lex: Lexicons | None,
-) -> list[tuple[QueryTrace, np.ndarray]]:
-    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
-    return [
-        _trace_one(q, ds, store, selection, router_model, cfg, lex)
-        for q, selection in zip(ds.queries, selections)
+) -> tuple[list[QueryTrace], PoolIndex, np.ndarray]:
+    """Every query's trace, with the pool index and question-side scores it ranked."""
+    if not ds.queries:
+        raise ValueError("dataset has no queries")
+    decisions = _decisions(ds, selector_model, router_model, cfg, lex)
+    index = PoolIndex.build(store, ds.queries)
+    # A query without a relation sentence scores its question twice and ranks Union as Q.
+    b_rels = [d.b_rel for d in decisions]
+    s_q, s_b = index.score(store, [question_key(q.id) for q in ds.queries], text_sides(ds.queries, b_rels))
+    fused = np.array([bool(b_rel) for b_rel in b_rels], dtype=bool)[:, None]
+    alpha = np.array([d.alpha_used for d in decisions])[:, None]
+    rank_q, rank_u = index.ranks(s_q), index.ranks(np.where(fused, fuse_scores(s_q, s_b, alpha), s_q))
+    hit_q, hit_u = hits_at_k(rank_q, cfg.k), hits_at_k(rank_u, cfg.k)
+    traces = [
+        QueryTrace(
+            query_id=q.id,
+            qtype=q.qtype,
+            features=dict(zip(ROUTER_FEATURE_NAMES, (float(v) for v in d.features.as_vector()))),
+            p_union=d.p_union,
+            alpha_used=d.alpha_used,
+            action=d.action,
+            fallback=d.fallback,
+            b_rel=d.b_rel,
+            rank_q=int(rank_q[i]) or None,
+            rank_union=int(rank_u[i]) or None,
+            hit_q=bool(hit_q[i]),
+            hit_union=bool(hit_u[i]),
+        )
+        for i, (q, d) in enumerate(zip(ds.queries, decisions))
     ]
+    return traces, index, s_q
 
 
 def trace_queries(
@@ -164,8 +156,7 @@ def trace_queries(
     cfg: RoutingConfig | None = None,
     lex: Lexicons | None = None,
 ) -> list[QueryTrace]:
-    cfg = cfg or RoutingConfig()
-    return [t for t, _ in _traces_and_scores(ds, store, selector_model, router_model, cfg, lex)]
+    return _traced(ds, store, selector_model, router_model, cfg or RoutingConfig(), lex)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +231,24 @@ def run_main_eval(
 ) -> EvalReport:
     """Q-only versus routed recall@k with discordant-pair significance."""
     cfg = cfg or RoutingConfig()
-    traces = trace_queries(ds, store, selector_model, router_model, cfg, lex)
+    traces, index, s_q = _traced(ds, store, selector_model, router_model, cfg, lex)
     n = len(traces)
-    if n == 0:
-        raise ValueError("dataset has no queries")
     hit_q = sum(t.hit_q for t in traces)
     hit_routed = sum(t.hit_routed for t in traces)
     wins = sum(1 for t in traces if t.hit_routed and not t.hit_q)
     losses = sum(1 for t in traces if t.hit_q and not t.hit_routed)
 
     calibration = None
-    if n >= 3:
-        margins = []
-        aucs = []
-        for q in ds.queries:
-            gold, pool = _gold_and_pool_scores(store, question_key(q.id), q)
-            if pool.size == 0:
-                continue
-            s, sigma = separation_margin(gold, pool)
-            margins.append((s, sigma))
-            aucs.append(per_query_auc(gold, pool))
-        if len(aucs) >= 3:
-            fit = calibration_fit(margins, aucs)
-            calibration = {
-                "r_squared": fit.r_squared,
-                "inversion_accuracy": fit.inversion_accuracy,
-                "n": fit.n,
-                "degenerate": fit.degenerate,
-            }
+    # The question-side scores hold each gold and its distractors already.
+    margin, sigma, auc = index.margins(s_q)[:, index.sizes > 0]
+    if auc.size >= 3:
+        fit = calibration_fit(list(zip(margin, sigma)), auc)
+        calibration = {
+            "r_squared": fit.r_squared,
+            "inversion_accuracy": fit.inversion_accuracy,
+            "n": fit.n,
+            "degenerate": fit.degenerate,
+        }
 
     return EvalReport(
         dataset=ds.name,
@@ -290,13 +271,6 @@ def run_main_eval(
 # Margin records and regime assignment
 
 
-def _gold_and_pool_scores(store: VectorStore, query_side_id: str, q: Query) -> tuple[float, np.ndarray]:
-    """Gold score and distractor-pool scores (gold excluded from the pool)."""
-    candidates = [passage_key(q.gold_id)] + [passage_key(p) for p in q.pool_ids if p != q.gold_id]
-    scores = store.score(query_side_id, "query", candidates)
-    return float(scores[0]), scores[1:]
-
-
 def compute_margins(
     ds: Dataset,
     store: VectorStore,
@@ -304,31 +278,23 @@ def compute_margins(
     lex: Lexicons | None = None,
 ) -> list[MarginRecord]:
     """Per-query margins/AUC under the question and the selected sentence."""
-    records: list[MarginRecord] = []
     selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
-    for q, selection in zip(ds.queries, selections):
-        gold_q, pool_q = _gold_and_pool_scores(store, question_key(q.id), q)
-        if pool_q.size == 0:
-            records.append(MarginRecord(q.id, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, degenerate=True))
-            continue
-        s_q, sigma_q = separation_margin(gold_q, pool_q)
-        auc_q = per_query_auc(gold_q, pool_q)
-
-        if selection.abstained:
-            records.append(
-                MarginRecord(q.id, s_q, 0.0, sigma_q, 0.0, auc_q, 0.5, degenerate=True)
-            )
-            continue
-        gold_b, pool_b = _gold_and_pool_scores(store, text_key(selection.chosen[0]), q)
-        s_b, sigma_b = separation_margin(gold_b, pool_b)
-        auc_b = per_query_auc(gold_b, pool_b)
-        records.append(
-            MarginRecord(
-                q.id, s_q, s_b, sigma_q, sigma_b, auc_q, auc_b,
-                degenerate=(sigma_q == 0.0 or sigma_b == 0.0),
-            )
+    b_rels = ["" if s.abstained else s.chosen[0] for s in selections]
+    index = PoolIndex.build(store, ds.queries)
+    # A query whose selector abstains scores its question twice; its sentence side stays empty.
+    by_q, by_b = index.score(store, [question_key(q.id) for q in ds.queries], text_sides(ds.queries, b_rels))
+    # A query without distractors, or without a sentence side, reads (margin 0, sigma 0, AUC 0.5) there.
+    blank = [[0.0], [0.0], [0.5]]
+    has_b = np.array([bool(b) for b in b_rels], dtype=bool)
+    q_side = np.where(index.sizes > 0, index.margins(by_q), blank)
+    b_side = np.where((index.sizes > 0) & has_b, index.margins(by_b), blank)
+    degenerate = (index.sizes == 0) | ~has_b | (q_side[1] == 0.0) | (b_side[1] == 0.0)
+    return [
+        MarginRecord(q.id, s_q, s_b, sigma_q, sigma_b, auc_q, auc_b, degenerate=bool(d))
+        for q, (s_q, sigma_q, auc_q), (s_b, sigma_b, auc_b), d in zip(
+            ds.queries, q_side.T.tolist(), b_side.T.tolist(), degenerate
         )
-    return records
+    ]
 
 
 @dataclass(frozen=True)
@@ -543,13 +509,6 @@ def knockout_variants(body: str, lex: Lexicons | None = None, selection_index: i
     return body, sent.text, minus
 
 
-def _variant_auc(store: VectorStore, variant_text: str, q: Query) -> float:
-    gold, pool = _gold_and_pool_scores(store, text_key(variant_text), q)
-    if pool.size == 0:
-        raise ValueError(f"query {q.id!r} has no distractor pool")
-    return per_query_auc(gold, pool)
-
-
 def _paired_sign_summary(deltas: list[float]) -> dict:
     wins = sum(1 for d in deltas if d > 0)
     losses = sum(1 for d in deltas if d < 0)
@@ -570,26 +529,21 @@ def run_knockout(
     lex: Lexicons | None = None,
 ) -> KnockoutReport:
     """AUC of gold-vs-pool under three bridge variants embedded as queries."""
-    records: list[KnockoutRecord] = []
-    excluded = 0
     selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
-    for q, selection in zip(ds.queries, selections):
-        if selection.abstained:
-            excluded += 1
-            continue
-        variants = knockout_variants(ds.passage(q.bridge_id).body, lex, selection.chosen[1])
-        if variants is None:
-            excluded += 1
-            continue
-        full_text, rel_text, minus_text = variants
-        records.append(
-            KnockoutRecord(
-                query_id=q.id,
-                auc_full=_variant_auc(store, full_text, q),
-                auc_rel=_variant_auc(store, rel_text, q),
-                auc_minus=_variant_auc(store, minus_text, q),
-            )
-        )
+    variants = {
+        i: knockout_variants(ds.passage(q.bridge_id).body, lex, selection.chosen[1])
+        for i, (q, selection) in enumerate(zip(ds.queries, selections))
+        if not selection.abstained
+    }
+    used = [i for i, texts in variants.items() if texts is not None]
+    excluded = len(ds.queries) - len(used)
+    index = PoolIndex.build(store, [ds.queries[i] for i in used])
+    for i, size in zip(used, index.sizes):
+        if not size:
+            raise ValueError(f"query {ds.queries[i].id!r} has no distractor pool")
+    sides = ([text_key(variants[i][v]) for i in used] for v in range(3))  # full, rel, minus
+    aucs = [index.margins(by_variant)[2].tolist() for by_variant in index.score(store, *sides)]
+    records = [KnockoutRecord(ds.queries[i].id, *auc) for i, *auc in zip(used, *aucs)]
     if not records:
         raise ValueError("no usable queries (all bridges single-sentence?)")
     return KnockoutReport(
@@ -648,30 +602,34 @@ def run_oracle_analysis(
 ) -> OracleReport:
     """Gap decomposition against oracle selector and oracle router."""
     cfg = cfg or RoutingConfig()
-    traced = _traces_and_scores(ds, store, selector_model, router_model, cfg, lex)
-    traces = [t for t, _ in traced]
+    traces, index, s_q = _traced(ds, store, selector_model, router_model, cfg, lex)
     n = len(traces)
     baseline = sum(t.hit_q for t in traces) / n
     learned = sum(t.hit_routed for t in traces) / n
     oracle_router = sum(max(t.hit_q, t.hit_union) for t in traces) / n
 
-    oracle_selector_hits = 0
-    for q, (t, s_q) in zip(ds.queries, traced):
+    # Per query: the hit under the oracle's relation sentence, routed.
+    oracle_hits = [t.hit_routed for t in traces]
+    fused: list[tuple[int, str, float]] = []  # (query, oracle sentence, alpha) routed to Union
+    for i, q in enumerate(ds.queries):
         bridge = ds.passage(q.bridge_id)
         idx = oracle_label(bridge, q.hop2_title, lex)
         if idx is None:
-            oracle_selector_hits += t.hit_routed
             continue
-        sents = split_sentences(bridge.body, lex)
-        brel = sents[idx].text
+        brel = split_sentences(bridge.body, lex)[idx].text
         feats = router_features(q.question, brel, bridge.body, lex)
         p = predict_proba(router_model, feats.as_vector())
         if p >= cfg.tau:
-            s_b = _pool_scores(store, text_key(brel), q)
-            oracle_selector_hits += _hit(q, fuse_scores(s_q, s_b, fusion_alpha(p, cfg)), cfg.k)
+            fused.append((i, brel, fusion_alpha(p, cfg)))
         else:
-            oracle_selector_hits += t.hit_q
-    oracle_selector = oracle_selector_hits / n
+            oracle_hits[i] = traces[i].hit_q
+    rows = [i for i, _, _ in fused]
+    sub = index.take(rows)
+    (s_b,) = sub.score(store, [text_key(brel) for _, brel, _ in fused])
+    alphas = np.array([a for _, _, a in fused])[:, None]
+    for i, hit in zip(rows, hits_at_k(sub.ranks(fuse_scores(s_q[rows], s_b, alphas)), cfg.k)):
+        oracle_hits[i] = bool(hit)
+    oracle_selector = sum(oracle_hits) / n
 
     return OracleReport(
         baseline_q=baseline,
@@ -721,43 +679,36 @@ def run_ablations(
     if n == 0:
         raise ValueError("dataset has no queries")
 
-    hits_q = 0
-    hits_full_unrouted = 0
-    hits_brel_unrouted = 0
-    hits_routed_half = 0
-    hits_routed_main = 0
-    hits_ne = 0
+    decisions = _decisions(ds, selector_model, router_model, cfg, lex)
+    # Each side's pools are scored once; every condition fuses these matrices.
+    # A query whose selector abstains scores its question as its sentence
+    # side and keeps its Q hit under every condition that uses the sentence.
+    index = PoolIndex.build(store, ds.queries)
+    s_q, s_body, s_b = index.score(
+        store,
+        [question_key(q.id) for q in ds.queries],
+        [text_key(ds.passage(q.bridge_id).body) for q in ds.queries],
+        text_sides(ds.queries, [d.b_rel for d in decisions]),
+    )
+    hit_q = hits_at_k(index.ranks(s_q), cfg.k)
+    chosen = np.array([not d.fallback for d in decisions], dtype=bool)
 
-    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
-    for q, selection in zip(ds.queries, selections):
-        # Each side's pool is scored once; every condition fuses these vectors.
-        bridge = ds.passage(q.bridge_id)
-        s_q = _pool_scores(store, question_key(q.id), q)
-        hit_q = _hit(q, s_q, cfg.k)
-        hits_q += hit_q
+    def hits_where(rule, other, alpha) -> int:
+        """Hits when the queries ``rule`` picks fuse ``other`` at ``alpha`` and the rest take Q."""
+        fused = hits_at_k(index.ranks(fuse_scores(s_q, other, alpha)), cfg.k)
+        return int(np.count_nonzero(np.where(rule, fused, hit_q)))
 
-        s_body = _pool_scores(store, text_key(bridge.body), q)
-        hits_full_unrouted += _hit(q, fuse_scores(s_q, s_body, 0.5), cfg.k)
-
-        if selection.abstained:
-            hits_brel_unrouted += hit_q
-            hits_routed_half += hit_q
-            hits_routed_main += hit_q
-            hits_ne += hit_q
-            continue
-        brel = selection.chosen[0]
-        s_b = _pool_scores(store, text_key(brel), q)
-        hit_half = _hit(q, fuse_scores(s_q, s_b, 0.5), cfg.k)
-        hits_brel_unrouted += hit_half
-
-        feats = router_features(q.question, brel, bridge.body, lex)
-        p = predict_proba(router_model, feats.as_vector())
-        union = p >= cfg.tau
-        hits_routed_half += hit_half if union else hit_q
-        hits_routed_main += _hit(q, fuse_scores(s_q, s_b, fusion_alpha(p, cfg)), cfg.k) if union else hit_q
-
-        ne_union = feats.b_new_entity_count >= 1 and feats.q_comparison_word == 0
-        hits_ne += _hit(q, fuse_scores(s_q, s_b, cfg.alpha), cfg.k) if ne_union else hit_q
+    union = chosen & np.array([d.action == ACTION_UNION for d in decisions], dtype=bool)
+    ne_union = chosen & np.array(
+        [d.features.b_new_entity_count >= 1 and d.features.q_comparison_word == 0 for d in decisions], dtype=bool
+    )
+    alpha_used = np.array([d.alpha_used for d in decisions])[:, None]
+    hits_q = int(np.count_nonzero(hit_q))
+    hits_full_unrouted = hits_where(True, s_body, 0.5)
+    hits_brel_unrouted = hits_where(chosen, s_b, 0.5)
+    hits_routed_half = hits_where(union, s_b, 0.5)
+    hits_routed_main = hits_where(union, s_b, alpha_used)
+    hits_ne = hits_where(ne_union, s_b, cfg.alpha)
 
     base = hits_q / n
     rows = [

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
+
 ARTIFACT_VERSION = "lm-v1"
 
 
@@ -304,6 +306,7 @@ def cross_fit(X, y, k: int = 5, cfg: TrainConfig | None = None) -> CrossFitResul
 
 
 def save_model(m: LinearModel, path: Path | str) -> None:
+    """Write the JSON artifact; a failure mid-write keeps any previous file."""
     payload = {
         "version": ARTIFACT_VERSION,
         "feature_names": list(m.feature_names),
@@ -316,21 +319,56 @@ def save_model(m: LinearModel, path: Path | str) -> None:
         },
         "train_meta": m.train_meta,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _numbers(values, what: str, path) -> tuple[float, ...]:
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError(f"model file {path}: {what} must be a list of numbers")
+    return tuple(float(v) for v in values)
 
 
 def load_model(path: Path | str) -> LinearModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON artifact; a file of another shape raises ``ValueError`` naming it."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file {path}: expected a JSON object")
     version = payload.get("version")
     if version != ARTIFACT_VERSION:
-        raise ValueError(f"unsupported model artifact version {version!r}")
-    std = payload["standardization"]
+        raise ValueError(f"model file {path}: unsupported model artifact version {version!r}")
+    std = payload.get("standardization")
+    if not isinstance(std, dict):
+        raise ValueError(f"model file {path}: standardization must be an object")
+    names = payload.get("feature_names")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"model file {path}: feature_names must be a list of strings")
+    constant = std.get("constant")
+    if not isinstance(constant, list) or not all(isinstance(c, bool) for c in constant):
+        raise ValueError(f"model file {path}: standardization.constant must be a list of booleans")
+    weights = _numbers(payload.get("weights"), "weights", path)
+    mean = _numbers(std.get("mean"), "standardization.mean", path)
+    sd = _numbers(std.get("std"), "standardization.std", path)
+    (bias,) = _numbers([payload.get("bias")], "bias", path)
+    lengths = {len(names), len(weights), len(mean), len(sd), len(constant)}
+    if len(lengths) != 1:
+        raise ValueError(
+            f"model file {path}: feature_names, weights, mean, std and constant differ in length"
+        )
+    meta = payload.get("train_meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"model file {path}: train_meta must be an object")
     return LinearModel(
-        weights=tuple(float(w) for w in payload["weights"]),
-        bias=float(payload["bias"]),
-        feature_names=tuple(payload["feature_names"]),
-        mean=tuple(float(v) for v in std["mean"]),
-        std=tuple(float(v) for v in std["std"]),
-        constant=tuple(bool(c) for c in std["constant"]),
-        train_meta=dict(payload.get("train_meta", {})),
+        weights=weights,
+        bias=bias,
+        feature_names=tuple(names),
+        mean=mean,
+        std=sd,
+        constant=tuple(constant),
+        train_meta=dict(meta),
     )

@@ -10,6 +10,11 @@ selected relation sentence embedded in query mode. The router is a
 linear model over RouterFeatures; Union is taken iff its probability
 meets the threshold tau (boundary inclusive).
 
+Ranking is batched: a ``PoolIndex`` holds the store rows of every
+query's pool, gold first, so each query side is scored as one (queries x
+pool) matrix and gold ranks, hits, margins and AUCs are whole-matrix
+reductions. ``rank_pool`` ranks one pool the plain way.
+
 Self-supervised router labels need no human input: label 1 iff Union
 hits recall@k and Q misses.
 """
@@ -21,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, Passage, Query
-from .embedding_store import VectorStore, passage_key, question_key, text_key
+from .embedding_store import MODE_DOC, MODE_QUERY, VectorStore, passage_key, question_key, score_rows, text_key
 from .linear_model import LinearModel, predict_proba
-from .selector import SelectionResult, select, select_all
+from .selector import SelectionResult, select_all
+from .stats import pool_margins
 from .text_analysis import Lexicons, RouterFeatures, router_features
 
 ACTION_Q = "Q"
@@ -89,17 +95,21 @@ def fusion_alpha(p_union: float, cfg: RoutingConfig) -> float:
     return clip_alpha(p_union) if cfg.alpha_mode == ALPHA_MODE_P_WEIGHTED else cfg.alpha
 
 
-def fuse_scores(q_scores, brel_scores, alpha: float) -> np.ndarray:
-    """Element-wise convex combination of aligned score lists."""
+def fuse_scores(q_scores, brel_scores, alpha) -> np.ndarray:
+    """Element-wise convex combination (1 - alpha) * q + alpha * b of aligned scores.
+
+    ``alpha`` is one weight, or for score matrices a column of one weight per row.
+    """
     q = np.asarray(q_scores, dtype=float)
     b = np.asarray(brel_scores, dtype=float)
     if q.shape != b.shape:
         raise ValueError(f"length mismatch: {q.shape} vs {b.shape}")
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(b))):
         raise ValueError("scores must be finite")
-    if not (0.0 <= alpha <= 1.0):
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
-    return (1.0 - alpha) * q + alpha * b
+    return (1.0 - a) * q + a * b
 
 
 def route(
@@ -136,12 +146,6 @@ def route(
     )
 
 
-def rank_scores(pool_ids, scores: np.ndarray, k: int) -> RankedList:
-    """Rank pool passages by their aligned scores; ties go to the lower id."""
-    order = sorted(zip(pool_ids, scores.tolist()), key=lambda item: (-item[1], item[0]))
-    return RankedList(entries=tuple(order), k=k)
-
-
 def rank_pool(
     store: VectorStore,
     query_side_id: str,
@@ -156,54 +160,95 @@ def rank_pool(
     if brel_side_id is not None:
         brel_scores = store.score(brel_side_id, "query", candidate_keys)
         scores = fuse_scores(scores, brel_scores, alpha)
-    return rank_scores(pool_ids, scores, k)
+    order = sorted(zip(pool_ids, scores.tolist()), key=lambda item: (-item[1], item[0]))
+    return RankedList(entries=tuple(order), k=k)
 
 
 def recall_at_k(ranked: RankedList, gold_id: str, k: int = 5) -> bool:
     return any(cid == gold_id for cid, _ in ranked.entries[:k])
 
 
-def self_supervised_label(
-    q: Query,
-    store: VectorStore,
-    selector_model: LinearModel,
-    alpha: float = 0.25,
-    k: int = 5,
-    label_mode: str = LABEL_MODE_STRICT,
-    lex: Lexicons | None = None,
-    bridge: Passage | None = None,
-    selection: SelectionResult | None = None,
-) -> int:
-    """1 iff Union strictly improves over Q on this query, else 0.
+@dataclass(frozen=True)
+class PoolIndex:
+    """The candidate pools of a batch of queries, as store rows, gold first.
 
-    Strict mode compares recall@k (Union hits AND Q misses); rank_gain
-    mode compares the gold passage's rank instead. Pass a precomputed
-    selection to skip re-running the selector.
+    Row i is query i. Column 0 of ``candidates`` is the gold passage (scored
+    even when it is not in the pool); the next ``sizes[i]`` columns are the
+    rest of the pool, in pool order, and shorter pools are padded with the
+    gold row. ``tie[i, j]`` marks distractor column j + 1 as one that a tied
+    gold ranks below (its id sorts first).
     """
-    if selection is None:
-        if bridge is None:
-            raise ValueError("bridge passage (or a precomputed selection) required")
-        selection = select(bridge, q.question, selector_model, lex=lex)
-    ranked_q = rank_pool(store, question_key(q.id), q.pool_ids, k)
-    if selection.abstained:
-        return 0
-    ranked_u = rank_pool(
-        store,
-        question_key(q.id),
-        q.pool_ids,
-        k,
-        brel_side_id=text_key(selection.chosen[0]),
-        alpha=alpha,
-    )
-    if label_mode == LABEL_MODE_RANK_GAIN:
-        rq = ranked_q.rank_of(q.gold_id)
-        ru = ranked_u.rank_of(q.gold_id)
-        if ru is None:
-            return 0
-        return int(rq is None or ru < rq)
-    hit_q = recall_at_k(ranked_q, q.gold_id, k)
-    hit_u = recall_at_k(ranked_u, q.gold_id, k)
-    return int(hit_u and not hit_q)
+
+    candidates: np.ndarray  # (n, 1 + width) doc-mode store rows
+    sizes: np.ndarray  # (n,) distractors per query
+    tie: np.ndarray  # (n, width) bool
+    gold_in_pool: np.ndarray  # (n,) bool
+
+    @classmethod
+    def build(cls, store: VectorStore, queries) -> PoolIndex:
+        # Passages are coded by their rank in id order, so that comparing
+        # codes compares ids, and each distinct passage is looked up once.
+        ids = sorted({pid for q in queries for pid in (q.gold_id, *q.pool_ids)})
+        code = {pid: c for c, pid in enumerate(ids)}
+        pools = [[code[q.gold_id]] + [code[pid] for pid in q.pool_ids if pid != q.gold_id] for q in queries]
+        sizes = np.array([len(pool) - 1 for pool in pools], dtype=np.intp)
+        width = int(sizes.max(initial=0))
+        codes = np.array([pool + pool[:1] * (width + 1 - len(pool)) for pool in pools], dtype=np.intp)
+        codes = codes.reshape(len(pools), 1 + width)
+        return cls(
+            candidates=store.rows([passage_key(pid) for pid in ids], MODE_DOC)[codes],
+            sizes=sizes,
+            tie=(np.arange(width) < sizes[:, None]) & (codes[:, 1:] < codes[:, :1]),
+            gold_in_pool=np.array([q.gold_id in q.pool_ids for q in queries], dtype=bool),
+        )
+
+    def take(self, rows) -> PoolIndex:
+        """The index of the queries at ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return PoolIndex(self.candidates[rows], self.sizes[rows], self.tie[rows], self.gold_in_pool[rows])
+
+    def score(self, store: VectorStore, *sides) -> np.ndarray:
+        """One score matrix per side: a list of query-mode text ids, one per query.
+
+        Each pool's vectors are gathered once for all the sides.
+        """
+        return score_rows(store, [store.rows(ids, MODE_QUERY) for ids in sides], self.candidates)
+
+    def ranks(self, scores: np.ndarray) -> np.ndarray:
+        """The gold's 1-based rank per query; 0 when the gold is not in the pool.
+
+        Equal to its position under ``rank_pool``'s order (score descending,
+        then id): 1 + distractors scored above it + tied ones with a lower id.
+        """
+        gold = scores[:, :1]
+        rest = scores[:, 1:]
+        valid = np.arange(rest.shape[1]) < self.sizes[:, None]
+        above = np.count_nonzero((rest > gold) & valid, axis=1)
+        tied = np.count_nonzero((rest == gold) & self.tie, axis=1)
+        return np.where(self.gold_in_pool, 1 + above + tied, 0)
+
+    def margins(self, scores: np.ndarray) -> np.ndarray:
+        """Rows of margins, distractor spreads and AUCs: one column per query.
+
+        Each equals ``separation_margin`` and ``per_query_auc`` of the gold
+        score against the distractor scores in pool order; nan for a query
+        without distractors.
+        """
+        out = np.full((3, len(self.sizes)), np.nan)
+        for size in np.unique(self.sizes[self.sizes > 0]):
+            rows = np.flatnonzero(self.sizes == size)
+            out[:, rows] = pool_margins(scores[rows, 0], scores[rows, 1 : 1 + size])
+        return out
+
+
+def text_sides(queries, texts) -> list[str]:
+    """Store id of each query's derived text; a query without one ("") takes its question."""
+    return [text_key(text) if text else question_key(q.id) for q, text in zip(queries, texts)]
+
+
+def hits_at_k(ranks: np.ndarray, k: int) -> np.ndarray:
+    """Recall@k per query from gold ranks (0 = gold not in the pool)."""
+    return (ranks >= 1) & (ranks <= k)
 
 
 def build_router_training(
@@ -213,26 +258,27 @@ def build_router_training(
     cfg: RoutingConfig | None = None,
     lex: Lexicons | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Router feature matrix and self-supervised labels, in dataset order."""
+    """Router feature matrix and self-supervised labels, in dataset order.
+
+    A label is 1 iff Union at ``cfg.alpha`` strictly improves over Q: it
+    hits recall@k where Q misses (strict), or ranks the gold higher
+    (rank_gain). A query whose selector abstains is labelled 0.
+    """
     cfg = cfg or RoutingConfig()
     pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
-    selections = select_all(pairs, selector_model, lex=lex)
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    for q, selection in zip(ds.queries, selections):
-        b_rel = "" if selection.abstained else selection.chosen[0]
-        feats = router_features(q.question, b_rel, ds.passage(q.bridge_id).body, lex)
-        rows.append(feats.as_vector())
-        labels.append(
-            self_supervised_label(
-                q,
-                store,
-                selector_model,
-                alpha=cfg.alpha,
-                k=cfg.k,
-                label_mode=cfg.label_mode,
-                lex=lex,
-                selection=selection,
-            )
-        )
-    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=float)
+    b_rels = ["" if s.abstained else s.chosen[0] for s in select_all(pairs, selector_model, lex=lex)]
+    X = [
+        router_features(q.question, b_rel, bridge.body, lex).as_vector()
+        for q, (bridge, _), b_rel in zip(ds.queries, pairs, b_rels)
+    ]
+    index = PoolIndex.build(store, ds.queries)
+    # A query whose selector abstains scores its question twice; its label is 0.
+    s_q, s_b = index.score(store, [question_key(q.id) for q in ds.queries], text_sides(ds.queries, b_rels))
+    rank_q = index.ranks(s_q)
+    rank_u = index.ranks(fuse_scores(s_q, s_b, cfg.alpha))
+    if cfg.label_mode == LABEL_MODE_RANK_GAIN:
+        gain = (rank_u > 0) & ((rank_q == 0) | (rank_u < rank_q))
+    else:
+        gain = hits_at_k(rank_u, cfg.k) & ~hits_at_k(rank_q, cfg.k)
+    labels = gain & np.array([bool(b_rel) for b_rel in b_rels], dtype=bool)
+    return np.asarray(X, dtype=float), labels.astype(float)

@@ -1,0 +1,316 @@
+"""Batched protocols against per-query references, bit for bit.
+
+Every protocol scores its queries' pools as one matrix per side. The
+references here rank each query on its own with ``rank_pool`` and score it
+with ``VectorStore.score``, the way a single query is ranked, on a world
+built to hit the edges: pools of mixed sizes, a gold passage outside its
+pool, a pool holding only the gold, a bridge the selector abstains on, and
+passages that share a vector, so that scores tie and ids break the ties.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from regime_router.cli import enumerate_embedding_ids
+from regime_router.corpus import Dataset, Passage, Query
+from regime_router.embedding_store import VectorStore, passage_key, question_key, text_key
+from regime_router.experiments import (
+    compute_margins,
+    knockout_variants,
+    run_ablations,
+    run_knockout,
+    run_main_eval,
+    run_oracle_analysis,
+    threshold_sweep,
+)
+from regime_router.linear_model import predict_proba, train
+from regime_router.router_retrieval import (
+    ACTION_UNION,
+    RoutingConfig,
+    build_router_training,
+    fusion_alpha,
+    rank_pool,
+    recall_at_k,
+    route,
+)
+from regime_router.selector import oracle_label, select_all, train_selector
+from regime_router.stats import MarginRecord, calibration_fit, mcnemar, per_query_auc, separation_margin
+from regime_router.text_analysis import router_features, split_sentences
+
+N_QUERIES = 28
+GOLD_OUTSIDE = 3  # gold not in its pool
+GOLD_ONLY = 5  # pool holds only the gold
+HOLLOW = 7  # bridge without sentences: the selector abstains
+K = 3
+
+
+def build_parity_world(seed: int = 11):
+    rng = np.random.default_rng(seed)
+    dim = 6
+    passages = {
+        f"p{j:02d}": Passage(id=f"p{j:02d}", title=f"Place {j}", body=f"Record {j} of the registry.")
+        for j in range(30)
+    }
+    queries = []
+    for i in range(N_QUERIES):
+        gold = f"p{rng.integers(30):02d}"
+        others = [p for p in rng.permutation(sorted(passages)).tolist() if p != gold]
+        pool = others[: int(rng.integers(1, 9))]
+        if i == GOLD_ONLY:
+            pool = [gold]
+        elif i != GOLD_OUTSIDE:
+            pool.insert(int(rng.integers(len(pool) + 1)), gold)
+        title = passages[gold].title
+        sentences = [
+            f"The vault of Kara Voss stands near {title if i % 3 else 'Old Harbor'}.",
+            f"Miro Dane sailed from Port Ellis in year {i}.",
+            f"Little else is written about precinct {i}.",
+        ][: 1 + i % 3]
+        body = "   " if i == HOLLOW else " ".join(sentences)
+        passages[f"b{i:02d}"] = Passage(id=f"b{i:02d}", title=f"Bridge {i}", body=body)
+        question = (
+            f"Did {title} open earlier or later than the ferry line?"
+            if i % 2
+            else "Which vault keeps the relic carried from the old harbor?"
+        )
+        queries.append(
+            Query(
+                id=f"q{i:02d}", question=question, qtype="comparison" if i % 2 else "compositional",
+                bridge_id=f"b{i:02d}", gold_id=gold, pool_ids=tuple(pool), hop2_title=title,
+            )
+        )
+    ds = Dataset(name="parity", queries=tuple(queries), passages=passages)
+    # Eight distinct passage vectors among thirty passages: scores tie often.
+    shared = rng.normal(size=(8, dim))
+    entries = {}
+    for sid, _, mode in enumerate_embedding_ids(ds):
+        if mode == "doc":
+            entries[(sid, mode)] = shared[int(sid[4:]) % 8] if sid.startswith("p::p") else rng.normal(size=dim)
+        else:
+            entries[(sid, mode)] = rng.normal(size=dim)
+    return ds, VectorStore(dim, entries)
+
+
+@pytest.fixture(scope="module")
+def parity(routing_world):
+    rds, rstore, annotations = routing_world
+    selector = train_selector(annotations)
+    X, y = build_router_training(rds, rstore, selector)
+    router = train(X, y)
+    ds, store = build_parity_world()
+    selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector)
+    assert selections[HOLLOW].abstained
+    assert sum(s.abstained for s in selections) == 1
+    # A threshold inside the spread of p_union, so that both actions occur.
+    p = sorted(
+        route(q, ds.passage(q.bridge_id), s, router).p_union
+        for q, s in zip(ds.queries, selections)
+        if not s.abstained
+    )
+    cfg = RoutingConfig(tau=p[len(p) // 2], alpha=0.4, k=K)
+    return ds, store, selector, router, selections, cfg
+
+
+def _decisions(ds, selections, router, cfg):
+    return [route(q, ds.passage(q.bridge_id), s, router, cfg) for q, s in zip(ds.queries, selections)]
+
+
+def _ranked(store, q, side=None, alpha=0.0):
+    brel = None if side is None else text_key(side)
+    return rank_pool(store, question_key(q.id), q.pool_ids, K, brel_side_id=brel, alpha=alpha)
+
+
+def _hit(store, q, side=None, alpha=0.0) -> bool:
+    return recall_at_k(_ranked(store, q, side, alpha), q.gold_id, K)
+
+
+def _gold_and_pool(store, side_id, q):
+    candidates = [passage_key(q.gold_id)] + [passage_key(p) for p in q.pool_ids if p != q.gold_id]
+    scores = store.score(side_id, "query", candidates)
+    return float(scores[0]), scores[1:]
+
+
+@pytest.mark.parametrize("alpha_mode", ["frozen", "p_weighted"])
+def test_eval_traces_match_per_query_ranking(parity, alpha_mode):
+    ds, store, selector, router, selections, cfg = parity
+    cfg = dataclasses.replace(cfg, alpha_mode=alpha_mode)
+    report = run_main_eval(ds, store, selector, router, cfg)
+    actions = set()
+    for q, d, t in zip(ds.queries, _decisions(ds, selections, router, cfg), report.traces):
+        ranked_q = _ranked(store, q)
+        ranked_u = _ranked(store, q, d.b_rel, d.alpha_used) if d.b_rel else ranked_q
+        assert (t.query_id, t.p_union, t.alpha_used, t.action, t.fallback, t.b_rel) == (
+            q.id, d.p_union, d.alpha_used, d.action, d.fallback, d.b_rel,
+        )
+        assert t.rank_q == ranked_q.rank_of(q.gold_id)
+        assert t.rank_union == ranked_u.rank_of(q.gold_id)
+        assert t.hit_q == recall_at_k(ranked_q, q.gold_id, K)
+        assert t.hit_union == recall_at_k(ranked_u, q.gold_id, K)
+        actions.add(t.action)
+    assert report.traces[GOLD_OUTSIDE].rank_q is None and not report.traces[GOLD_OUTSIDE].hit_q
+    assert report.traces[GOLD_ONLY].rank_q == 1
+    assert report.traces[HOLLOW].fallback
+    assert len(actions) == 2
+    assert len({len(q.pool_ids) for q in ds.queries}) > 3
+
+    wins = sum(t.hit_routed and not t.hit_q for t in report.traces)
+    losses = sum(t.hit_q and not t.hit_routed for t in report.traces)
+    assert (report.wins, report.losses, report.mcnemar_p) == (wins, losses, mcnemar(wins, losses))
+
+
+def test_eval_calibration_matches_per_query_margins(parity):
+    ds, store, selector, router, _, cfg = parity
+    margins, aucs = [], []
+    for q in ds.queries:
+        gold, pool = _gold_and_pool(store, question_key(q.id), q)
+        if pool.size:
+            margins.append(separation_margin(gold, pool))
+            aucs.append(per_query_auc(gold, pool))
+    fit = calibration_fit(margins, aucs)
+    assert len(aucs) == N_QUERIES - 1
+    assert run_main_eval(ds, store, selector, router, cfg).calibration == {
+        "r_squared": fit.r_squared,
+        "inversion_accuracy": fit.inversion_accuracy,
+        "n": fit.n,
+        "degenerate": fit.degenerate,
+    }
+
+
+def test_margins_match_per_query_reference(parity):
+    ds, store, selector, _, selections, _ = parity
+    expected = []
+    for q, selection in zip(ds.queries, selections):
+        gold_q, pool_q = _gold_and_pool(store, question_key(q.id), q)
+        if pool_q.size == 0:
+            expected.append(MarginRecord(q.id, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, degenerate=True))
+            continue
+        s_q, sigma_q = separation_margin(gold_q, pool_q)
+        auc_q = per_query_auc(gold_q, pool_q)
+        if selection.abstained:
+            expected.append(MarginRecord(q.id, s_q, 0.0, sigma_q, 0.0, auc_q, 0.5, degenerate=True))
+            continue
+        gold_b, pool_b = _gold_and_pool(store, text_key(selection.chosen[0]), q)
+        s_b, sigma_b = separation_margin(gold_b, pool_b)
+        expected.append(
+            MarginRecord(q.id, s_q, s_b, sigma_q, sigma_b, auc_q, per_query_auc(gold_b, pool_b),
+                         degenerate=(sigma_q == 0.0 or sigma_b == 0.0))
+        )
+    records = compute_margins(ds, store, selector)
+    assert records == expected
+    assert records[GOLD_ONLY].degenerate and records[HOLLOW].degenerate
+
+
+def test_knockout_matches_per_query_reference(parity):
+    ds, store, selector, _, selections, _ = parity
+    with pytest.raises(ValueError, match="no distractor pool"):
+        run_knockout(ds, store, selector)
+    keep = [i for i in range(N_QUERIES) if i != GOLD_ONLY]
+    sub = Dataset(name="parity", queries=tuple(ds.queries[i] for i in keep), passages=ds.passages)
+    expected = []
+    for i in keep:
+        q, selection = ds.queries[i], selections[i]
+        if selection.abstained:
+            continue
+        variants = knockout_variants(ds.passage(q.bridge_id).body, None, selection.chosen[1])
+        if variants is not None:
+            expected.append(
+                (q.id, *(per_query_auc(*_gold_and_pool(store, text_key(v), q)) for v in variants))
+            )
+    report = run_knockout(sub, store, selector)
+    assert [(r.query_id, r.auc_full, r.auc_rel, r.auc_minus) for r in report.records] == expected
+    assert report.excluded == len(keep) - len(expected) > 1
+
+
+@pytest.mark.parametrize("alpha_mode", ["frozen", "p_weighted"])
+def test_ablations_match_per_query_reference(parity, alpha_mode):
+    ds, store, selector, router, selections, cfg = parity
+    cfg = dataclasses.replace(cfg, alpha_mode=alpha_mode)
+    counts = [0] * 6
+    for q, d in zip(ds.queries, _decisions(ds, selections, router, cfg)):
+        hit_q = _hit(store, q)
+        full = _hit(store, q, ds.passage(q.bridge_id).body, 0.5)
+        if d.fallback:
+            row = (hit_q, full, hit_q, hit_q, hit_q, hit_q)
+        else:
+            half = _hit(store, q, d.b_rel, 0.5)
+            union = d.action == ACTION_UNION
+            ne = d.features.b_new_entity_count >= 1 and d.features.q_comparison_word == 0
+            row = (
+                hit_q, full, half,
+                half if union else hit_q,
+                _hit(store, q, d.b_rel, d.alpha_used) if union else hit_q,
+                _hit(store, q, d.b_rel, cfg.alpha) if ne else hit_q,
+            )
+        counts = [c + h for c, h in zip(counts, row)]
+    rows = run_ablations(ds, store, selector, router, cfg).rows
+    assert [r.r_at_5 for r in rows] == [c / N_QUERIES for c in counts]
+
+
+def test_oracle_matches_per_query_reference(parity):
+    ds, store, selector, router, selections, cfg = parity
+    hits = 0
+    for q, d in zip(ds.queries, _decisions(ds, selections, router, cfg)):
+        bridge = ds.passage(q.bridge_id)
+        hit_q = _hit(store, q)
+        idx = oracle_label(bridge, q.hop2_title)
+        if idx is None:
+            routed = d.action == ACTION_UNION and d.b_rel
+            hits += _hit(store, q, d.b_rel, d.alpha_used) if routed else hit_q
+            continue
+        brel = split_sentences(bridge.body)[idx].text
+        p = predict_proba(router, router_features(q.question, brel, bridge.body).as_vector())
+        hits += _hit(store, q, brel, fusion_alpha(p, cfg)) if p >= cfg.tau else hit_q
+    assert run_oracle_analysis(ds, store, selector, router, cfg).oracle_selector == hits / N_QUERIES
+
+
+def test_sweep_matches_per_query_reference(parity):
+    ds, store, selector, router, selections, cfg = parity
+    taus = (0.0, cfg.tau, 0.9, 2.0)
+    decisions = _decisions(ds, selections, router, cfg)
+    expected = []
+    for tau in taus:
+        union = [not d.fallback and d.p_union >= tau for d in decisions]
+        hits = sum(
+            _hit(store, q, d.b_rel, d.alpha_used) if u else _hit(store, q)
+            for q, d, u in zip(ds.queries, decisions, union)
+        )
+        expected.append((hits / N_QUERIES, sum(union) / N_QUERIES))
+    report = threshold_sweep(ds, store, selector, router, taus, cfg)
+    assert [(r.r_at_5, r.union_rate) for r in report.rows] == expected
+
+
+@pytest.mark.parametrize("label_mode", ["strict", "rank_gain"])
+def test_router_labels_match_per_query_reference(parity, label_mode):
+    ds, store, selector, _, selections, cfg = parity
+    cfg = dataclasses.replace(cfg, label_mode=label_mode)
+    expected = []
+    for q, selection in zip(ds.queries, selections):
+        if selection.abstained:
+            expected.append(0.0)
+            continue
+        ranked_q = _ranked(store, q)
+        ranked_u = _ranked(store, q, selection.chosen[0], cfg.alpha)
+        if label_mode == "rank_gain":
+            rq, ru = ranked_q.rank_of(q.gold_id), ranked_u.rank_of(q.gold_id)
+            expected.append(float(ru is not None and (rq is None or ru < rq)))
+        else:
+            expected.append(float(recall_at_k(ranked_u, q.gold_id, K) and not recall_at_k(ranked_q, q.gold_id, K)))
+    _, y = build_router_training(ds, store, selector, cfg)
+    assert y.tolist() == expected
+
+
+def test_empty_dataset(parity):
+    _, store, selector, router, _, cfg = parity
+    empty = Dataset(name="empty", queries=(), passages={})
+    with pytest.raises(ValueError, match="no queries"):
+        run_main_eval(empty, store, selector, router, cfg)
+    with pytest.raises(ValueError, match="no queries"):
+        run_ablations(empty, store, selector, router, cfg)
+    with pytest.raises(ValueError, match="no usable queries"):
+        run_knockout(empty, store, selector)
+    assert compute_margins(empty, store, selector) == []
+    assert len(build_router_training(empty, store, selector, cfg)[1]) == 0

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +438,26 @@ def test_eval_p_weighted_alpha_recorded(world_dir, trained_dir, tmp_path):
             assert row["alpha_used"] == pytest.approx(clip_alpha(row["p_union"]))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: [blob],
+        lambda blob: {k: v for k, v in blob.items() if k != "standardization"},
+        lambda blob: {**blob, "weights": blob["weights"][:-1]},
+    ],
+    ids=["json-list", "no-standardization", "short-weights"],
+)
+def test_eval_malformed_router_model_exit_code(world_dir, trained_dir, tmp_path, capsys, edit):
+    router = tmp_path / "router.json"
+    router.write_text(json.dumps(edit(json.loads((trained_dir / "router.json").read_text()))))
+    args = eval_args(world_dir, trained_dir, tmp_path / "out")
+    args[args.index("--router-model") + 1] = str(router)
+    assert main(args) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(router) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_missing_store_exit_code(world_dir, trained_dir, tmp_path):
     code = main(
         [
@@ -680,3 +703,21 @@ def test_report_without_tabular_section(tmp_path):
     report = tmp_path / "r.json"
     report.write_text(json.dumps({"summary": 1.0}), encoding="utf-8")
     assert main(["report", "--report", str(report)]) == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_walkthrough_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI walkthrough\s+```\n(.*?)```", readme, re.S).group(1)
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip()
+    ]
+    assert [argv[1] for argv in commands] == ["ingest", "embed", "train", "eval", "experiment", "report"]
+    for argv in commands:
+        assert argv[0] == "regime-router"
+        build_parser().parse_args(argv[1:])

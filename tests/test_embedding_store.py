@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regime_router import embedding_store
 from regime_router.embedding_store import (
     DimensionMismatchError,
     EmbedProviderConfig,
@@ -28,6 +29,7 @@ from regime_router.embedding_store import (
     passage_key,
     question_key,
     save_vectors,
+    score_rows,
     text_key,
 )
 
@@ -257,6 +259,41 @@ def test_rows_and_scores_are_bit_identical_to_per_vector_numpy(tmp_path, dim):
                 qv = store.get(text_id, mode)
                 expected = [float(np.dot(qv, store.get(doc, "doc"))) for doc in docs]
                 assert store.score(text_id, mode, docs).tolist() == expected
+
+
+@pytest.mark.parametrize("dim", [2, 32, 768])
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4])
+@pytest.mark.parametrize("n_queries", [1, 3, 12, 13])
+def test_score_rows_is_per_pair_dot_at_chunk_edges(monkeypatch, dim, chunk_rows, n_queries):
+    # The chunk budget is set to exactly chunk_rows queries' candidates, so
+    # one query, one whole chunk, whole multiples and a ragged tail all occur.
+    m = 7
+    monkeypatch.setattr(embedding_store, "_SCORE_CHUNK_BYTES", chunk_rows * m * dim * 8)
+    rng = np.random.default_rng(dim + n_queries)
+    entries = {(f"q{i}", "query"): rng.normal(size=dim) for i in range(n_queries)}
+    entries.update({(f"p{i}", "doc"): rng.normal(size=dim) * rng.uniform(1e-3, 1e3) for i in range(20)})
+    store = VectorStore(dim, entries)
+    pools = [[f"p{j}" for j in rng.choice(20, size=m, replace=False)] for _ in range(n_queries)]
+    # Two sides: each query's own vector, and the next query's.
+    sides = [[f"q{i}" for i in range(n_queries)], [f"q{(i + 1) % n_queries}" for i in range(n_queries)]]
+    candidates = np.array([store.rows(pool, "doc") for pool in pools])
+    scores = score_rows(store, [store.rows(ids, "query") for ids in sides], candidates)
+    assert scores.shape == (2, n_queries, m)
+    for k, ids in enumerate(sides):
+        for i, (side, pool) in enumerate(zip(ids, pools)):
+            qv = store.get(side, "query")
+            expected = [float(np.dot(store.get(pid, "doc"), qv)) for pid in pool]
+            assert scores[k, i].tolist() == expected
+            assert store.score(side, "query", pool).tolist() == expected
+
+
+def test_store_rows_names_the_missing_key():
+    store = VectorStore(2, {("a", "doc"): np.array([1.0, 0.0])})
+    assert store.rows(["a", "a"], "doc").tolist() == [0, 0]
+    assert store.rows([], "doc").shape == (0,)
+    with pytest.raises(MissingEmbeddingError) as err:
+        store.rows(["a", "ghost"], "doc")
+    assert (err.value.text_id, err.value.mode) == ("ghost", "doc")
 
 
 def test_load_and_merge_hold_no_more_than_two_matrices(tmp_path):

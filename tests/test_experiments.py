@@ -112,6 +112,13 @@ def test_main_eval_rejects_empty():
         run_main_eval(ds, store, None, None)
 
 
+@pytest.mark.parametrize("protocol", [trace_queries, run_oracle_analysis, threshold_sweep])
+def test_traced_protocols_reject_empty(protocol):
+    # Every recall rate divides by the query count.
+    with pytest.raises(ValueError, match="no queries"):
+        protocol(Dataset(name="empty", queries=(), passages={}), VectorStore(2, {}), None, None)
+
+
 # ---------------------------------------------------------------------------
 # margins and regime agreement
 

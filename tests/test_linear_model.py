@@ -169,6 +169,51 @@ def test_artifact_version_gate(tmp_path):
         load_model(path)
 
 
+def test_failed_save_keeps_the_old_model(tmp_path, monkeypatch):
+    X, y = separable()
+    path = tmp_path / "model.json"
+    save_model(train(X, y), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    # The new bytes are written in full, then the rename fails.
+    monkeypatch.setattr("regime_router.atomic.os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(train(X, 1.0 - y), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda blob: [blob], "JSON object"),
+        (lambda blob: {k: v for k, v in blob.items() if k != "standardization"}, "standardization"),
+        (lambda blob: {**blob, "weights": blob["weights"][:-1]}, "differ in length"),
+        (lambda blob: {**blob, "weights": [None] * len(blob["weights"])}, "weights"),
+        (lambda blob: {**blob, "bias": "high"}, "bias"),
+        (lambda blob: {**blob, "feature_names": "abc"}, "feature_names"),
+    ],
+)
+def test_load_rejects_malformed_artifacts(tmp_path, edit, message):
+    X, y = separable()
+    path = tmp_path / "model.json"
+    save_model(train(X, y), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_invalid_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match="model.json"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # Fold partitioning and cross-fitting
 

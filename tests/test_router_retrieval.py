@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regime_router.corpus import Passage
+from regime_router.corpus import Dataset, Passage
 from regime_router.embedding_store import MissingEmbeddingError, VectorStore, text_key
 from regime_router.linear_model import train
 from regime_router.router_retrieval import (
@@ -17,7 +19,6 @@ from regime_router.router_retrieval import (
     rank_pool,
     recall_at_k,
     route,
-    self_supervised_label,
 )
 from regime_router.selector import select, select_all, train_selector
 from regime_router.text_analysis import ROUTER_FEATURE_NAMES
@@ -263,52 +264,38 @@ def test_rank_pool_under_both_actions(trained):
 
 
 # ---------------------------------------------------------------------------
-# self-supervised labels
+# self-supervised labels (build_router_training)
 
 
 def test_labels_follow_construction(trained):
     ds, store, selector_model, _ = trained
-    for q in ds.queries:
-        label = self_supervised_label(q, store, selector_model, bridge=ds.passage(q.bridge_id))
-        expected = 1 if q.qtype == "compositional" else 0
-        assert label == expected
+    _, y = build_router_training(ds, store, selector_model)
+    for q, label in zip(ds.queries, y):
+        assert label == (1.0 if q.qtype == "compositional" else 0.0)
 
 
 def test_label_rank_gain_mode(trained):
     ds, store, selector_model, _ = trained
-    q = next(q for q in ds.queries if q.qtype == "compositional")
-    label = self_supervised_label(
-        q, store, selector_model, bridge=ds.passage(q.bridge_id), label_mode="rank_gain"
-    )
-    assert label == 1
-    q_cmp = next(q for q in ds.queries if q.qtype == "comparison")
-    # Q already ranks gold first; fused rank cannot strictly improve on 1.
-    label_cmp = self_supervised_label(
-        q_cmp, store, selector_model, bridge=ds.passage(q_cmp.bridge_id), label_mode="rank_gain"
-    )
-    assert label_cmp == 0
+    _, y = build_router_training(ds, store, selector_model, RoutingConfig(label_mode="rank_gain"))
+    for q, label in zip(ds.queries, y):
+        # Q already ranks a comparison's gold first; fused rank cannot
+        # strictly improve on 1. Union lifts every compositional gold.
+        assert label == (1.0 if q.qtype == "compositional" else 0.0)
 
 
 def test_label_abstention_is_zero(trained):
     ds, store, selector_model, _ = trained
     q = ds.queries[1]
-    empty_bridge = Passage(id="hollow", title="Hollow", body="   ")
-    assert self_supervised_label(q, store, selector_model, bridge=empty_bridge) == 0
-
-
-def test_label_precomputed_selection(trained):
-    ds, store, selector_model, _ = trained
-    q = ds.queries[1]
-    selection = select(ds.passage(q.bridge_id), q.question, selector_model)
-    direct = self_supervised_label(q, store, selector_model, selection=selection)
-    via_bridge = self_supervised_label(q, store, selector_model, bridge=ds.passage(q.bridge_id))
-    assert direct == via_bridge
-
-
-def test_label_requires_bridge_or_selection(trained):
-    ds, store, selector_model, _ = trained
-    with pytest.raises(ValueError, match="bridge passage"):
-        self_supervised_label(ds.queries[0], store, selector_model)
+    assert q.qtype == "compositional"
+    hollow = Passage(id="hollow", title="Hollow", body="   ")
+    abstaining = Dataset(
+        name="hollow",
+        queries=(dataclasses.replace(q, bridge_id="hollow"),),
+        passages={**ds.passages, "hollow": hollow},
+    )
+    for mode in ("strict", "rank_gain"):
+        _, y = build_router_training(abstaining, store, selector_model, RoutingConfig(label_mode=mode))
+        assert y.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
