@@ -408,8 +408,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _write_json(report_path, payload)
     trace_path = out_dir / f"eval_{ds.name}_trace.jsonl"
     with atomic_write(trace_path, encoding="utf-8") as fh:
-        for t in report.traces:
-            fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
+        for row in payload["per_query"]:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     header, rows = report.csv_rows()
     _write_csv(out_dir / f"eval_{ds.name}.csv", header, rows)
 

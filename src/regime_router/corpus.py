@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .atomic import atomic_write
+
 QTYPES = frozenset({"comparison", "bridge_comparison", "compositional", "inference", "other"})
 
 QUERIES_FILE = "queries.jsonl"
@@ -167,10 +169,8 @@ def validate_dataset(ds: Dataset) -> None:
         raise DanglingIdError(missing)
 
 
-def load_dataset(path: Path | str, format: str = "jsonl") -> Dataset:
+def load_dataset(path: Path | str) -> Dataset:
     """Load a dataset directory containing queries.jsonl and passages.jsonl."""
-    if format != "jsonl":
-        raise DatasetParseError(f"unrecognized format {format!r}")
     root = Path(path)
     qpath = root / QUERIES_FILE
     ppath = root / PASSAGES_FILE
@@ -183,10 +183,14 @@ def load_dataset(path: Path | str, format: str = "jsonl") -> Dataset:
 
 
 def save_dataset(ds: Dataset, path: Path | str) -> None:
-    """Write queries.jsonl and passages.jsonl so load_dataset round-trips."""
+    """Write queries.jsonl and passages.jsonl so load_dataset round-trips.
+
+    Each file is written beside its target and renamed over it, so a
+    failure leaves the previous file intact.
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / QUERIES_FILE, "w", encoding="utf-8") as fh:
+    with atomic_write(root / QUERIES_FILE, encoding="utf-8") as fh:
         for q in ds.queries:
             fh.write(
                 json.dumps(
@@ -203,7 +207,7 @@ def save_dataset(ds: Dataset, path: Path | str) -> None:
                 )
                 + "\n"
             )
-    with open(root / PASSAGES_FILE, "w", encoding="utf-8") as fh:
+    with atomic_write(root / PASSAGES_FILE, encoding="utf-8") as fh:
         for p in ds.passages.values():
             fh.write(
                 json.dumps({"id": p.id, "title": p.title, "body": p.body}, ensure_ascii=False) + "\n"

@@ -4,34 +4,34 @@ Every experiment is a pure pipeline: immutable inputs in, a report
 dataclass out. Reports expose ``to_json_dict`` for the JSON emitters and
 ``csv_rows`` (header, rows) for plot-ready CSV.
 
-Selection and routing run per query, in dataset order. Scoring does not:
-each protocol builds one ``PoolIndex`` over its queries and scores each
-query side (question, selected or oracle sentence, bridge body, knockout
-variant) as one queries x pool matrix. Fused rankings, gold ranks, hits,
-margins and AUCs are whole-matrix reductions of those matrices, equal bit
-for bit to ranking each pool alone, so results are deterministic.
+Each protocol is a reduction over one ``router_retrieval.analyze`` pass:
+its selections, relation sentences, ``PoolIndex`` and score matrices.
+Decisions come from ``route``, the oracle's too. Fused rankings, gold
+ranks, hits, margins and AUCs are whole-matrix reductions, equal bit for
+bit to ranking each pool alone, so results are deterministic. Knockout
+scores its bridge variants over its own subset of the queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import Dataset, Passage
-from .linear_model import LinearModel, predict_proba
+from .corpus import Dataset
+from .linear_model import LinearModel
 from .router_retrieval import (
     ACTION_UNION,
+    Analysis,
     PoolIndex,
     RoutingConfig,
     RoutingDecision,
+    analyze,
     fuse_scores,
-    fusion_alpha,
     hits_at_k,
     route,
-    text_sides,
 )
-from .selector import oracle_label, select_all
+from .selector import SelectionResult, oracle_label, select_all
 from .stats import (
     CalibrationFit,
     MarginRecord,
@@ -39,7 +39,7 @@ from .stats import (
     cohen_kappa,
     mcnemar,
 )
-from .embedding_store import VectorStore, question_key, text_key
+from .embedding_store import VectorStore, text_key
 from .text_analysis import (
     REGIME_B_DOMINANT,
     REGIME_Q_DOMINANT,
@@ -48,7 +48,6 @@ from .text_analysis import (
     assign_regime,
     p1_proxy,
     p2_proxy,
-    router_features,
     split_sentences,
 )
 
@@ -97,15 +96,9 @@ class QueryTrace:
         }
 
 
-def _bridge_pairs(ds: Dataset) -> list[tuple[Passage, str]]:
-    """(bridge, question) of every query, in dataset order: one selection batch."""
-    return [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
-
-
-def _decisions(ds: Dataset, selector_model, router_model, cfg: RoutingConfig, lex) -> list[RoutingDecision]:
-    """Every query's routing decision, from one selection batch."""
-    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
-    return [route(q, ds.passage(q.bridge_id), s, router_model, cfg, lex) for q, s in zip(ds.queries, selections)]
+def _decisions(ds: Dataset, analysis: Analysis, router_model, cfg: RoutingConfig, lex) -> list[RoutingDecision]:
+    return [route(q, ds.passage(q.bridge_id), s, router_model, cfg, lex)
+            for q, s in zip(ds.queries, analysis.selections)]
 
 
 def _traced(
@@ -115,18 +108,16 @@ def _traced(
     router_model: LinearModel,
     cfg: RoutingConfig,
     lex: Lexicons | None,
-) -> tuple[list[QueryTrace], PoolIndex, np.ndarray]:
-    """Every query's trace, with the pool index and question-side scores it ranked."""
+) -> tuple[list[QueryTrace], Analysis]:
+    """Every query's trace, with the analysis it ranked."""
     if not ds.queries:
         raise ValueError("dataset has no queries")
-    decisions = _decisions(ds, selector_model, router_model, cfg, lex)
-    index = PoolIndex.build(store, ds.queries)
-    # A query without a relation sentence scores its question twice and ranks Union as Q.
-    b_rels = [d.b_rel for d in decisions]
-    s_q, s_b = index.score(store, [question_key(q.id) for q in ds.queries], text_sides(ds.queries, b_rels))
-    fused = np.array([bool(b_rel) for b_rel in b_rels], dtype=bool)[:, None]
+    analysis = analyze(ds, store, selector_model, lex)
+    decisions = _decisions(ds, analysis, router_model, cfg, lex)
+    index, (s_q, s_b) = analysis.index, analysis.scores
     alpha = np.array([d.alpha_used for d in decisions])[:, None]
-    rank_q, rank_u = index.ranks(s_q), index.ranks(np.where(fused, fuse_scores(s_q, s_b, alpha), s_q))
+    fused = np.where(analysis.has_b_rel[:, None], fuse_scores(s_q, s_b, alpha), s_q)
+    rank_q, rank_u = index.ranks(s_q), index.ranks(fused)
     hit_q, hit_u = hits_at_k(rank_q, cfg.k), hits_at_k(rank_u, cfg.k)
     traces = [
         QueryTrace(
@@ -145,7 +136,7 @@ def _traced(
         )
         for i, (q, d) in enumerate(zip(ds.queries, decisions))
     ]
-    return traces, index, s_q
+    return traces, analysis
 
 
 def trace_queries(
@@ -211,16 +202,6 @@ class EvalReport:
         return header, rows
 
 
-def _config_banner(cfg: RoutingConfig) -> dict:
-    return {
-        "alpha": cfg.alpha,
-        "tau": cfg.tau,
-        "alpha_mode": cfg.alpha_mode,
-        "k": cfg.k,
-        "label_mode": cfg.label_mode,
-    }
-
-
 def run_main_eval(
     ds: Dataset,
     store: VectorStore,
@@ -231,7 +212,7 @@ def run_main_eval(
 ) -> EvalReport:
     """Q-only versus routed recall@k with discordant-pair significance."""
     cfg = cfg or RoutingConfig()
-    traces, index, s_q = _traced(ds, store, selector_model, router_model, cfg, lex)
+    traces, analysis = _traced(ds, store, selector_model, router_model, cfg, lex)
     n = len(traces)
     hit_q = sum(t.hit_q for t in traces)
     hit_routed = sum(t.hit_routed for t in traces)
@@ -240,7 +221,8 @@ def run_main_eval(
 
     calibration = None
     # The question-side scores hold each gold and its distractors already.
-    margin, sigma, auc = index.margins(s_q)[:, index.sizes > 0]
+    index = analysis.index
+    margin, sigma, auc = index.margins(analysis.scores[0])[:, index.sizes > 0]
     if auc.size >= 3:
         fit = calibration_fit(list(zip(margin, sigma)), auc)
         calibration = {
@@ -253,7 +235,7 @@ def run_main_eval(
     return EvalReport(
         dataset=ds.name,
         n=n,
-        config=_config_banner(cfg),
+        config=asdict(cfg),
         q_only_r_at_k=hit_q / n,
         routed_r_at_k=hit_routed / n,
         delta=(hit_routed - hit_q) / n,
@@ -278,14 +260,10 @@ def compute_margins(
     lex: Lexicons | None = None,
 ) -> list[MarginRecord]:
     """Per-query margins/AUC under the question and the selected sentence."""
-    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
-    b_rels = ["" if s.abstained else s.chosen[0] for s in selections]
-    index = PoolIndex.build(store, ds.queries)
-    # A query whose selector abstains scores its question twice; its sentence side stays empty.
-    by_q, by_b = index.score(store, [question_key(q.id) for q in ds.queries], text_sides(ds.queries, b_rels))
+    analysis = analyze(ds, store, selector_model, lex)
+    index, (by_q, by_b), has_b = analysis.index, analysis.scores, analysis.has_b_rel
     # A query without distractors, or without a sentence side, reads (margin 0, sigma 0, AUC 0.5) there.
     blank = [[0.0], [0.0], [0.5]]
-    has_b = np.array([bool(b) for b in b_rels], dtype=bool)
     q_side = np.where(index.sizes > 0, index.margins(by_q), blank)
     b_side = np.where((index.sizes > 0) & has_b, index.margins(by_b), blank)
     degenerate = (index.sizes == 0) | ~has_b | (q_side[1] == 0.0) | (b_side[1] == 0.0)
@@ -529,7 +507,7 @@ def run_knockout(
     lex: Lexicons | None = None,
 ) -> KnockoutReport:
     """AUC of gold-vs-pool under three bridge variants embedded as queries."""
-    selections = select_all(_bridge_pairs(ds), selector_model, lex=lex)
+    selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector_model, lex=lex)
     variants = {
         i: knockout_variants(ds.passage(q.bridge_id).body, lex, selection.chosen[1])
         for i, (q, selection) in enumerate(zip(ds.queries, selections))
@@ -602,7 +580,7 @@ def run_oracle_analysis(
 ) -> OracleReport:
     """Gap decomposition against oracle selector and oracle router."""
     cfg = cfg or RoutingConfig()
-    traces, index, s_q = _traced(ds, store, selector_model, router_model, cfg, lex)
+    traces, analysis = _traced(ds, store, selector_model, router_model, cfg, lex)
     n = len(traces)
     baseline = sum(t.hit_q for t in traces) / n
     learned = sum(t.hit_routed for t in traces) / n
@@ -617,17 +595,16 @@ def run_oracle_analysis(
         if idx is None:
             continue
         brel = split_sentences(bridge.body, lex)[idx].text
-        feats = router_features(q.question, brel, bridge.body, lex)
-        p = predict_proba(router_model, feats.as_vector())
-        if p >= cfg.tau:
-            fused.append((i, brel, fusion_alpha(p, cfg)))
+        d = route(q, bridge, SelectionResult((brel, idx, 1.0), False), router_model, cfg, lex)
+        if d.action == ACTION_UNION:
+            fused.append((i, brel, d.alpha_used))
         else:
             oracle_hits[i] = traces[i].hit_q
     rows = [i for i, _, _ in fused]
-    sub = index.take(rows)
+    sub = analysis.index.take(rows)
     (s_b,) = sub.score(store, [text_key(brel) for _, brel, _ in fused])
     alphas = np.array([a for _, _, a in fused])[:, None]
-    for i, hit in zip(rows, hits_at_k(sub.ranks(fuse_scores(s_q[rows], s_b, alphas)), cfg.k)):
+    for i, hit in zip(rows, hits_at_k(sub.ranks(fuse_scores(analysis.scores[0][rows], s_b, alphas)), cfg.k)):
         oracle_hits[i] = bool(hit)
     oracle_selector = sum(oracle_hits) / n
 
@@ -679,19 +656,12 @@ def run_ablations(
     if n == 0:
         raise ValueError("dataset has no queries")
 
-    decisions = _decisions(ds, selector_model, router_model, cfg, lex)
-    # Each side's pools are scored once; every condition fuses these matrices.
-    # A query whose selector abstains scores its question as its sentence
-    # side and keeps its Q hit under every condition that uses the sentence.
-    index = PoolIndex.build(store, ds.queries)
-    s_q, s_body, s_b = index.score(
-        store,
-        [question_key(q.id) for q in ds.queries],
-        [text_key(ds.passage(q.bridge_id).body) for q in ds.queries],
-        text_sides(ds.queries, [d.b_rel for d in decisions]),
-    )
+    # Every condition fuses the analysis's matrices. A query whose selector
+    # abstains keeps its Q hit under every condition that uses the sentence.
+    analysis = analyze(ds, store, selector_model, lex, [text_key(ds.passage(q.bridge_id).body) for q in ds.queries])
+    decisions = _decisions(ds, analysis, router_model, cfg, lex)
+    index, (s_q, s_b, s_body), chosen = analysis.index, analysis.scores, analysis.has_b_rel
     hit_q = hits_at_k(index.ranks(s_q), cfg.k)
-    chosen = np.array([not d.fallback for d in decisions], dtype=bool)
 
     def hits_where(rule, other, alpha) -> int:
         """Hits when the queries ``rule`` picks fuse ``other`` at ``alpha`` and the rest take Q."""

@@ -1,19 +1,18 @@
 """The deployment pipeline: select, featurize, route, fuse, rank.
 
-Selection runs first, for every query of a dataset in one batch
-(``selector.select_all``); ``route`` takes a query's selection.
+``analyze`` is the one pass over a dataset's queries that every protocol
+reduces: one selection batch, each query's relation sentence B_rel, the
+run's ``PoolIndex``, and one (queries x pool) score matrix per side.
 
 Per query the pipeline picks one of two actions. Q ranks the candidate
 pool by the question embedding alone; Union ranks by the convex
 combination (1 - alpha) * s_q + alpha * s_brel, where s_brel scores the
 selected relation sentence embedded in query mode. The router is a
-linear model over RouterFeatures; Union is taken iff its probability
-meets the threshold tau (boundary inclusive).
+linear model over RouterFeatures; ``route`` takes Union iff its
+probability meets the threshold tau (boundary inclusive).
 
-Ranking is batched: a ``PoolIndex`` holds the store rows of every
-query's pool, gold first, so each query side is scored as one (queries x
-pool) matrix and gold ranks, hits, margins and AUCs are whole-matrix
-reductions. ``rank_pool`` ranks one pool the plain way.
+Gold ranks, hits, margins and AUCs are whole-matrix reductions of the
+score matrices; ``rank_pool`` ranks one pool the plain way.
 
 Self-supervised router labels need no human input: label 1 iff Union
 hits recall@k and Q misses.
@@ -241,14 +240,44 @@ class PoolIndex:
         return out
 
 
-def text_sides(queries, texts) -> list[str]:
-    """Store id of each query's derived text; a query without one ("") takes its question."""
-    return [text_key(text) if text else question_key(q.id) for q, text in zip(queries, texts)]
-
-
 def hits_at_k(ranks: np.ndarray, k: int) -> np.ndarray:
     """Recall@k per query from gold ranks (0 = gold not in the pool)."""
     return (ranks >= 1) & (ranks <= k)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pass over a dataset's queries, in dataset order.
+
+    ``scores`` holds one matrix per side, in ``index``'s columns: the
+    question, B_rel (the question where the selector abstained), then
+    any extra sides.
+    """
+
+    selections: tuple[SelectionResult, ...]
+    b_rels: tuple[str, ...]  # "" where the selector abstained
+    index: PoolIndex
+    scores: tuple[np.ndarray, ...]
+
+    @property
+    def has_b_rel(self) -> np.ndarray:
+        return np.array([bool(b_rel) for b_rel in self.b_rels], dtype=bool)
+
+
+def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, lex: Lexicons | None = None,
+            *extra_sides) -> Analysis:
+    """Select every query's relation sentence and score its pool under each side.
+
+    Each extra side is a list of query-mode text ids, one per query; all
+    sides are scored from one gather of each pool.
+    """
+    pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
+    selections = tuple(select_all(pairs, selector_model, lex=lex))
+    b_rels = tuple("" if s.abstained else s.chosen[0] for s in selections)
+    index = PoolIndex.build(store, ds.queries)
+    questions = [question_key(q.id) for q in ds.queries]
+    sentences = [text_key(b_rel) if b_rel else qid for b_rel, qid in zip(b_rels, questions)]
+    return Analysis(selections, b_rels, index, tuple(index.score(store, questions, sentences, *extra_sides)))
 
 
 def build_router_training(
@@ -265,20 +294,17 @@ def build_router_training(
     (rank_gain). A query whose selector abstains is labelled 0.
     """
     cfg = cfg or RoutingConfig()
-    pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
-    b_rels = ["" if s.abstained else s.chosen[0] for s in select_all(pairs, selector_model, lex=lex)]
+    analysis = analyze(ds, store, selector_model, lex)
     X = [
-        router_features(q.question, b_rel, bridge.body, lex).as_vector()
-        for q, (bridge, _), b_rel in zip(ds.queries, pairs, b_rels)
+        router_features(q.question, b_rel, ds.passage(q.bridge_id).body, lex).as_vector()
+        for q, b_rel in zip(ds.queries, analysis.b_rels)
     ]
-    index = PoolIndex.build(store, ds.queries)
-    # A query whose selector abstains scores its question twice; its label is 0.
-    s_q, s_b = index.score(store, [question_key(q.id) for q in ds.queries], text_sides(ds.queries, b_rels))
-    rank_q = index.ranks(s_q)
-    rank_u = index.ranks(fuse_scores(s_q, s_b, cfg.alpha))
+    s_q, s_b = analysis.scores
+    rank_q = analysis.index.ranks(s_q)
+    rank_u = analysis.index.ranks(fuse_scores(s_q, s_b, cfg.alpha))
     if cfg.label_mode == LABEL_MODE_RANK_GAIN:
         gain = (rank_u > 0) & ((rank_q == 0) | (rank_u < rank_q))
     else:
         gain = hits_at_k(rank_u, cfg.k) & ~hits_at_k(rank_q, cfg.k)
-    labels = gain & np.array([bool(b_rel) for b_rel in b_rels], dtype=bool)
+    labels = gain & analysis.has_b_rel
     return np.asarray(X, dtype=float), labels.astype(float)

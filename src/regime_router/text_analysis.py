@@ -25,7 +25,6 @@ callers is safe.
 
 from __future__ import annotations
 
-import csv
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -419,14 +418,3 @@ def sentence_features(
         length_tokens=length,
         ne_density=0.0 if length == 0 else min(1.0, s.entity_tokens / length),
     )
-
-
-def write_features_csv(path: Path | str, header: tuple[str, ...], rows: list[list[float]]) -> None:
-    """Dump feature vectors as CSV under the fixed 5-column header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"row width {len(row)} != header width {len(header)}")
-            writer.writerow(row)

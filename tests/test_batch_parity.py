@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from regime_router import experiments, router_retrieval
 from regime_router.cli import enumerate_embedding_ids
 from regime_router.corpus import Dataset, Passage, Query
 from regime_router.embedding_store import VectorStore, passage_key, question_key, text_key
@@ -314,3 +315,37 @@ def test_empty_dataset(parity):
         run_knockout(empty, store, selector)
     assert compute_margins(empty, store, selector) == []
     assert len(build_router_training(empty, store, selector, cfg)[1]) == 0
+
+
+PROTOCOLS = {
+    "eval": lambda ds, store, sel, rtr, cfg: run_main_eval(ds, store, sel, rtr, cfg),
+    "sweep": lambda ds, store, sel, rtr, cfg: threshold_sweep(ds, store, sel, rtr, (0.0, 1.0), cfg),
+    "ablations": lambda ds, store, sel, rtr, cfg: run_ablations(ds, store, sel, rtr, cfg),
+    "margins": lambda ds, store, sel, rtr, cfg: compute_margins(ds, store, sel),
+    "router_training": lambda ds, store, sel, rtr, cfg: build_router_training(ds, store, sel, cfg),
+    "knockout": lambda ds, store, sel, rtr, cfg: run_knockout(ds, store, sel),
+    "oracle": lambda ds, store, sel, rtr, cfg: run_oracle_analysis(ds, store, sel, rtr, cfg),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_each_query_is_analysed_once(parity, monkeypatch, protocol):
+    ds, store, selector, router, _, cfg = parity
+    # Knockout needs a distractor pool for every query it scores.
+    ds = dataclasses.replace(ds, queries=tuple(q for i, q in enumerate(ds.queries) if i != GOLD_ONLY))
+    calls = {"select_all": 0, "build": 0, "score_rows": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(router_retrieval, "select_all", counted("select_all", router_retrieval.select_all))
+    monkeypatch.setattr(experiments, "select_all", counted("select_all", experiments.select_all))
+    monkeypatch.setattr(router_retrieval, "score_rows", counted("score_rows", router_retrieval.score_rows))
+    build = router_retrieval.PoolIndex.build.__func__
+    monkeypatch.setattr(router_retrieval.PoolIndex, "build", classmethod(counted("build", build)))
+    PROTOCOLS[protocol](ds, store, selector, router, cfg)
+    # The oracle scores its oracle sentences for the queries it routes to Union, a second matrix.
+    assert calls == {"select_all": 1, "build": 1, "score_rows": 2 if protocol == "oracle" else 1}

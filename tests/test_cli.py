@@ -548,10 +548,22 @@ def test_experiment_requires_dataset_flags(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_experiment_sweep_requires_router(world_dir, trained_dir, tmp_path):
+def assert_rerun_identical(argv, rerun_dir):
+    """Rerun ``argv`` into ``rerun_dir``: the JSON and CSV it wrote come out byte for byte the same."""
+    i = argv.index("--out-dir") + 1
+    first = Path(argv[i])
+    written = sorted(p.name for p in first.iterdir() if p.suffix in (".json", ".csv"))
+    assert main([*argv[:i], str(rerun_dir), *argv[i + 1:]]) == EXIT_OK
+    assert len(written) == 2 and sorted(p.name for p in rerun_dir.iterdir()) == written
+    for name in written:
+        assert (first / name).read_bytes() == (rerun_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["oracle", "ablations", "threshold-sweep"])
+def test_experiment_sweep_requires_router(world_dir, trained_dir, tmp_path, name):
     code = main(
         [
-            "experiment", "threshold-sweep",
+            "experiment", name,
             "--dataset", str(world_dir / "data"),
             "--store", str(world_dir / "store.bin"),
             "--selector-model", str(trained_dir / "selector.json"),
@@ -584,22 +596,21 @@ def test_experiment_sweep_custom_taus(world_dir, trained_dir, tmp_path):
 
 @pytest.mark.parametrize("name", ["knockout", "oracle", "ablations"])
 def test_experiment_standard_runs(world_dir, trained_dir, tmp_path, name):
-    code = main(
-        [
-            "experiment", name,
-            "--dataset", str(world_dir / "data"),
-            "--store", str(world_dir / "store.bin"),
-            "--selector-model", str(trained_dir / "selector.json"),
-            "--router-model", str(trained_dir / "router.json"),
-            "--out-dir", str(tmp_path),
-            "--deterministic",
-        ]
-    )
-    assert code == EXIT_OK
+    argv = [
+        "experiment", name,
+        "--dataset", str(world_dir / "data"),
+        "--store", str(world_dir / "store.bin"),
+        "--selector-model", str(trained_dir / "selector.json"),
+        "--router-model", str(trained_dir / "router.json"),
+        "--out-dir", str(tmp_path),
+        "--deterministic",
+    ]
+    assert main(argv) == EXIT_OK
     stem = name.replace("-", "_")
     payload = json.loads(next(tmp_path.glob(f"{stem}_data_*.json")).read_text())
     assert payload["experiment"] == name
     assert "effective_config" in payload
+    assert_rerun_identical(argv, tmp_path / "rerun")
 
 
 def test_experiment_mixture_on_degenerate_pools_is_runtime_error(
@@ -630,17 +641,15 @@ def margin_dir(tmp_path_factory, margin_world):
 
 
 def test_experiment_mixture(margin_dir, tmp_path):
-    code = main(
-        [
-            "experiment", "mixture",
-            "--dataset", str(margin_dir / "data"),
-            "--store", str(margin_dir / "store.bin"),
-            "--selector-model", str(margin_dir / "selector.json"),
-            "--out-dir", str(tmp_path),
-            "--deterministic",
-        ]
-    )
-    assert code == EXIT_OK
+    argv = [
+        "experiment", "mixture",
+        "--dataset", str(margin_dir / "data"),
+        "--store", str(margin_dir / "store.bin"),
+        "--selector-model", str(margin_dir / "selector.json"),
+        "--out-dir", str(tmp_path),
+        "--deterministic",
+    ]
+    assert main(argv) == EXIT_OK
     payload = json.loads(next(tmp_path.glob("mixture_data_*.json")).read_text())
     assert payload["skipped_degenerate"] == 0
     verdicts = {row["qtype"]: row["verdict"] for row in payload["rows"]}
@@ -648,23 +657,23 @@ def test_experiment_mixture(margin_dir, tmp_path):
     assert verdicts["compositional"] == "B_dominant"
     agg = payload["aggregate"]
     assert agg["q_minus_b_weighted"] == pytest.approx(agg["q_minus_b_micro"])
+    assert_rerun_identical(argv, tmp_path / "rerun")
 
 
 def test_experiment_regime_agreement(margin_dir, tmp_path):
-    code = main(
-        [
-            "experiment", "regime-agreement",
-            "--dataset", str(margin_dir / "data"),
-            "--store", str(margin_dir / "store.bin"),
-            "--selector-model", str(margin_dir / "selector.json"),
-            "--out-dir", str(tmp_path),
-            "--deterministic",
-        ]
-    )
-    assert code == EXIT_OK
+    argv = [
+        "experiment", "regime-agreement",
+        "--dataset", str(margin_dir / "data"),
+        "--store", str(margin_dir / "store.bin"),
+        "--selector-model", str(margin_dir / "selector.json"),
+        "--out-dir", str(tmp_path),
+        "--deterministic",
+    ]
+    assert main(argv) == EXIT_OK
     payload = json.loads(next(tmp_path.glob("regime_agreement_data_*.json")).read_text())
     assert payload["n_used"] == 12
     assert payload["agreement"] == pytest.approx(1.0)
+    assert_rerun_identical(argv, tmp_path / "rerun")
 
 
 # ---------------------------------------------------------------------------

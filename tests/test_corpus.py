@@ -4,6 +4,7 @@ import pytest
 
 from regime_router.corpus import (
     DanglingIdError,
+    Dataset,
     DatasetParseError,
     MissingRankError,
     filter_hop1_correct,
@@ -137,9 +138,20 @@ def test_round_trip(tmp_path):
     assert again.passages == ds.passages
 
 
-def test_unsupported_format(tmp_path):
-    with pytest.raises(ValueError, match="format"):
-        load_dataset(tmp_path, format="csv")
+def test_save_failed_rename_keeps_old_files(tmp_path, monkeypatch):
+    queries, passages = valid_rows()
+    ds = load_dataset(write_dataset(tmp_path, queries, passages))
+    before = (tmp_path / "queries.jsonl").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    # The new queries.jsonl is written in full, then the rename fails.
+    monkeypatch.setattr("regime_router.atomic.os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(Dataset(ds.name, ds.queries[:1], ds.passages), tmp_path)
+    assert (tmp_path / "queries.jsonl").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["passages.jsonl", "queries.jsonl"]
 
 
 def test_hop1_filter_keeps_order(tmp_path):

@@ -1,4 +1,3 @@
-import csv
 import re
 
 import pytest
@@ -10,7 +9,6 @@ from regime_router.text_analysis import (
     REGIME_Q_DOMINANT,
     REGIME_UNCOVERED,
     ROUTER_FEATURE_NAMES,
-    SENTENCE_FEATURE_NAMES,
     EntitySpan,
     Lexicons,
     RouterFeatures,
@@ -29,7 +27,6 @@ from regime_router.text_analysis import (
     span_surfaces,
     split_sentences,
     tokenize,
-    write_features_csv,
 )
 
 
@@ -255,21 +252,7 @@ def test_feature_ranges_hold_on_arbitrary_text(question, brel):
 
 
 # ---------------------------------------------------------------------------
-# CSV export and lexicon overrides
-
-
-def test_write_features_csv_round_trip(tmp_path):
-    path = tmp_path / "f.csv"
-    write_features_csv(path, ROUTER_FEATURE_NAMES, [[1.0, 0.0, 2.0, 1.0, 0.5]])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(ROUTER_FEATURE_NAMES)
-    assert rows[1] == ["1.0", "0.0", "2.0", "1.0", "0.5"]
-
-
-def test_write_features_csv_rejects_ragged(tmp_path):
-    with pytest.raises(ValueError, match="width"):
-        write_features_csv(tmp_path / "f.csv", SENTENCE_FEATURE_NAMES, [[1.0, 2.0]])
+# Lexicon overrides
 
 
 def test_lexicon_override(tmp_path):
