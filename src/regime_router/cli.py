@@ -1,4 +1,4 @@
-"""Operator entry point: ingest, embed, train, eval, experiment, report.
+"""Operator entry point: ingest, embed, train, eval, experiment.
 
 Exit codes: 0 success, 1 runtime failure (provider, training), 2 usage or
 parse error, 3 referential-integrity error. Config precedence is CLI flag
@@ -14,8 +14,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -87,46 +88,25 @@ class UsageError(ValueError):
 # Config
 
 
-_DEFAULTS = {
-    "alpha": 0.25,
-    "tau": 0.5,
-    "alpha_mode": "frozen",
-    "k": 5,
-    "label_mode": "strict",
-    "parallelism": 1,
-    "l2_penalty": 1.0,
-    "cv_folds": 5,
-    "endpoint": "",
-    "model_name": "",
-    "auth_env_var": "",
-    "query_prefix": "",
-    "doc_prefix": "",
-    "timeout": 30.0,
-    "max_retries": 3,
-    "batch_size": 64,
-    "retry_base_delay": 0.5,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    alpha: float
-    tau: float
-    alpha_mode: str
-    k: int
-    label_mode: str
-    parallelism: int
-    l2_penalty: float
-    cv_folds: int
-    endpoint: str
-    model_name: str
-    auth_env_var: str
-    query_prefix: str
-    doc_prefix: str
-    timeout: float
-    max_retries: int
-    batch_size: int
-    retry_base_delay: float
+    alpha: float = 0.25
+    tau: float = 0.5
+    alpha_mode: str = "frozen"
+    k: int = 5
+    label_mode: str = "strict"
+    parallelism: int = 1
+    l2_penalty: float = 1.0
+    cv_folds: int = 5
+    endpoint: str = ""
+    model_name: str = ""
+    auth_env_var: str = ""
+    query_prefix: str = ""
+    doc_prefix: str = ""
+    timeout: float = 30.0
+    max_retries: int = 3
+    batch_size: int = 64
+    retry_base_delay: float = 0.5
 
     def routing(self) -> RoutingConfig:
         return RoutingConfig(
@@ -167,9 +147,16 @@ class RunConfig:
         return {"alpha": self.alpha, "tau": self.tau, "alpha_mode": self.alpha_mode}
 
 
+# The JSON types each annotated field type accepts; a bool, an int to
+# Python, is refused apart. Ints are not coerced to floats: the effective
+# config and the experiment file-name hash keep the values as given.
+_FIELD_TYPES = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+                "str": ((str,), "a string")}
+
+
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """CLI flag > config file > built-in default."""
-    merged = dict(_DEFAULTS)
+    """CLI flag > config file > built-in default, each value checked against its field."""
+    merged: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -178,15 +165,25 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"config file {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {config_path}: expected a JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        unknown = sorted(set(loaded) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise UsageError(f"config file {config_path}: unknown keys {unknown}")
         merged.update(loaded)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            merged[key] = flag
+            merged[f.name] = flag
+        value = merged.get(f.name, f.default)
+        types, kind = _FIELD_TYPES[f.type]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise UsageError(f"{f.name} must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{f.name} must be finite, got {value!r}")
     cfg = RunConfig(**merged)
+    if cfg.cv_folds < 2:
+        raise UsageError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
+    if cfg.l2_penalty < 0:
+        raise UsageError(f"l2_penalty must be >= 0, got {cfg.l2_penalty}")
     try:
         cfg.routing()
     except ValueError as exc:
@@ -239,6 +236,7 @@ def _config_hash(payload: dict) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    cfg = merge_config(args)
     ds = _load_dataset(args.dataset)
     print(f"queries: {len(ds.queries)}")
     print(f"passages: {len(ds.passages)}")
@@ -248,7 +246,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for qtype in sorted(by_type):
         print(f"  {qtype}: {by_type[qtype]}")
     if getattr(args, "hop1_ranks", None):
-        cfg = merge_config(args)
         filtered = _apply_hop1_filter(ds, args, cfg.k)
         print(f"hop1-correct at k={cfg.k}: {len(filtered.queries)}")
     return EXIT_OK
@@ -437,6 +434,20 @@ EXPERIMENT_NAMES = (
 )
 
 
+def _parse_taus(text: str) -> tuple[float, ...]:
+    """Comma-separated finite thresholds; one above 1 sweeps to all-Q."""
+    taus = []
+    for item in text.split(","):
+        try:
+            tau = float(item)
+        except ValueError:
+            raise UsageError(f"--taus: {item!r} is not a number") from None
+        if not math.isfinite(tau):
+            raise UsageError(f"--taus: {item!r} is not finite")
+        taus.append(tau)
+    return tuple(taus)
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     name = args.name
@@ -446,17 +457,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    taus = DEFAULT_SWEEP_TAUS if args.taus is None else _parse_taus(args.taus)
 
     if name == "synthetic-calibration":
         fit = synthetic_calibration(
             n=args.n, pool_size=args.pool_size, sigma=args.sigma, seed=args.seed
         )
-        result_json = {
-            "r_squared": fit.r_squared,
-            "inversion_accuracy": fit.inversion_accuracy,
-            "n": fit.n,
-            "degenerate": fit.degenerate,
-        }
+        result_json = asdict(fit)
         csv_payload = (
             ["metric", "value"],
             [
@@ -486,9 +493,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         elif name == "ablations":
             report = run_ablations(ds, store, selector, router, cfg.routing())
         elif name == "threshold-sweep":
-            taus = DEFAULT_SWEEP_TAUS
-            if args.taus:
-                taus = tuple(float(t) for t in args.taus.split(","))
             report = threshold_sweep(ds, store, selector, router, taus, cfg.routing())
         elif name == "mixture":
             margins = compute_margins(ds, store, selector)
@@ -519,43 +523,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _write_json(json_path, result_json)
     _write_csv(out_dir / f"{stem}.csv", *csv_payload)
     print(f"report: {json_path}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# report
-
-
-def _flatten(row: dict) -> dict:
-    flat = {}
-    for key, value in row.items():
-        if isinstance(value, dict):
-            for sub, sub_value in value.items():
-                flat[f"{key}.{sub}"] = sub_value
-        else:
-            flat[key] = value
-    return flat
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    rows = payload.get("rows") or payload.get("per_query")
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], dict):
-        raise UsageError(f"{args.report}: no tabular section (rows/per_query) found")
-    flat_rows = [_flatten(r) for r in rows]
-    header: list[str] = []
-    for row in flat_rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    table = [[row.get(col, "") for col in header] for row in flat_rows]
-    if args.out:
-        _write_csv(Path(args.out), header, table)
-        print(f"csv: {args.out}")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(table)
     return EXIT_OK
 
 
@@ -650,11 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_config_flags(p)
     p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("report", help="extract the tabular section of a JSON report as CSV")
-    p.add_argument("--report", required=True, help="JSON report produced by eval or experiment")
-    p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

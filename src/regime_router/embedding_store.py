@@ -6,8 +6,8 @@ little-endian). Mode bytes: 0 = query, 1 = doc.
 
 Every vector is L2-normalized at ingest, so inner products are cosine
 similarities. Evaluation code never fetches implicitly: a run requires a
-fully materialized store, and fetch_remote exists only for the embed
-step of the CLI.
+fully materialized store, and only the CLI's embed step builds an
+``EmbeddingClient``.
 
 In memory a store is one read-only n x dim float64 matrix, one row per
 (id, mode) key, plus a dict from key to row. Loading copies each f32
@@ -506,15 +506,3 @@ class EmbeddingClient:
             raise DimensionMismatchError(f"provider returned mixed dimensions {sorted(dims)}")
         return filled
 
-
-def fetch_remote(
-    cfg: EmbedProviderConfig,
-    texts: list[str],
-    mode: str,
-    cache_path: Path | str | None = None,
-    transport=None,
-    expected_dim: int | None = None,
-) -> list[np.ndarray]:
-    """Functional wrapper over EmbeddingClient for one-shot fetches."""
-    client = EmbeddingClient(cfg, cache_path=cache_path, transport=transport)
-    return client.fetch(texts, mode, expected_dim=expected_dim)

@@ -191,11 +191,13 @@ class EvalReport:
         header = [
             "query_id", "qtype", "p_union", "action", "alpha_used",
             "rank_gold_q", "rank_gold_union", "hit_q", "hit_union", "hit_routed",
+            *(f"features.{name}" for name in ROUTER_FEATURE_NAMES),
         ]
         rows = [
             [
                 t.query_id, t.qtype, t.p_union, t.action, t.alpha_used,
                 t.rank_q, t.rank_union, int(t.hit_q), int(t.hit_union), int(t.hit_routed),
+                *(t.features[name] for name in ROUTER_FEATURE_NAMES),
             ]
             for t in self.traces
         ]
@@ -225,12 +227,7 @@ def run_main_eval(
     margin, sigma, auc = index.margins(analysis.scores[0])[:, index.sizes > 0]
     if auc.size >= 3:
         fit = calibration_fit(list(zip(margin, sigma)), auc)
-        calibration = {
-            "r_squared": fit.r_squared,
-            "inversion_accuracy": fit.inversion_accuracy,
-            "n": fit.n,
-            "degenerate": fit.degenerate,
-        }
+        calibration = asdict(fit)
 
     return EvalReport(
         dataset=ds.name,
@@ -358,8 +355,6 @@ class RegimeTable:
     rows: tuple[RegimeRow, ...]
     aggregate_q_minus_b_weighted: float
     aggregate_q_minus_b_micro: float
-    aggregate_b_minus_q_weighted: float
-    aggregate_b_minus_q_micro: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -375,8 +370,6 @@ class RegimeTable:
             "aggregate": {
                 "q_minus_b_weighted": self.aggregate_q_minus_b_weighted,
                 "q_minus_b_micro": self.aggregate_q_minus_b_micro,
-                "b_minus_q_weighted": self.aggregate_b_minus_q_weighted,
-                "b_minus_q_micro": self.aggregate_b_minus_q_micro,
             },
         }
 
@@ -386,11 +379,11 @@ class RegimeTable:
 
 
 def mixture_decomposition(per_query: list[tuple[str, float, float]]) -> RegimeTable:
-    """Type-stratified AUC deltas and both aggregate conventions.
+    """Type-stratified AUC deltas and their aggregate, Q minus B.
 
     per_query rows are (qtype, auc_q, auc_b). The prevalence-weighted
-    aggregate equals the micro mean exactly (same data, same weights);
-    both are emitted, in both sign conventions.
+    aggregate and the micro mean weigh the same data alike, so they agree
+    up to summation order; both are emitted.
     """
     if not per_query:
         raise ValueError("need at least one query")
@@ -415,8 +408,6 @@ def mixture_decomposition(per_query: list[tuple[str, float, float]]) -> RegimeTa
         rows=tuple(rows),
         aggregate_q_minus_b_weighted=weighted,
         aggregate_q_minus_b_micro=micro,
-        aggregate_b_minus_q_weighted=-weighted,
-        aggregate_b_minus_q_micro=-micro,
     )
 
 
@@ -595,7 +586,7 @@ def run_oracle_analysis(
         if idx is None:
             continue
         brel = split_sentences(bridge.body, lex)[idx].text
-        d = route(q, bridge, SelectionResult((brel, idx, 1.0), False), router_model, cfg, lex)
+        d = route(q, bridge, SelectionResult((brel, idx, 1.0)), router_model, cfg, lex)
         if d.action == ACTION_UNION:
             fused.append((i, brel, d.alpha_used))
         else:

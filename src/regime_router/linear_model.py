@@ -123,6 +123,8 @@ def train(X, y, cfg: TrainConfig | None = None) -> LinearModel:
         raise ValueError("y must be binary 0/1")
     if yv.min() == yv.max():
         raise SingleClassError("labels contain a single class")
+    if not (math.isfinite(cfg.l2_penalty) and cfg.l2_penalty >= 0.0):
+        raise ValueError(f"l2_penalty must be finite and >= 0, got {cfg.l2_penalty}")
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)

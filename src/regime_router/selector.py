@@ -4,7 +4,8 @@ Scores every sentence of a bridge passage with a linear model over
 SentenceFeatures and returns the argmax (lowest index on ties).
 ``select_all`` selects for a whole batch of (bridge, question) pairs with
 one predict call over their stacked sentence rows; ``select`` is a batch
-of one, and every protocol selects all its queries in one batch. Oracle
+of one, and every protocol selects all its queries in one batch. A
+selection abstains exactly when its bridge has no sentence. Oracle
 labels come from title containment; training expands each annotated
 passage into per-sentence binary rows.
 """
@@ -44,7 +45,10 @@ class AnnotationError(ValueError):
 @dataclass(frozen=True)
 class SelectionResult:
     chosen: tuple[str, int, float] | None  # (sentence text, index, confidence)
-    abstained: bool
+
+    @property
+    def abstained(self) -> bool:
+        return self.chosen is None
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,6 @@ def train_selector(
 def select_all(
     pairs: Sequence[tuple[Passage, str]],
     model: LinearModel,
-    abstain_threshold: float = 0.0,
     lex: Lexicons | None = None,
 ) -> list[SelectionResult]:
     """Argmax sentence of every (bridge, question) pair, in one predict call.
@@ -124,16 +127,12 @@ def select_all(
     lo = 0
     for sents in splits:
         if not sents:
-            results.append(SelectionResult(chosen=None, abstained=True))
+            results.append(SelectionResult(None))
             continue
         segment = probs[lo : lo + len(sents)]
         lo += len(sents)
         best_i = int(np.argmax(segment))  # the first maximum: lowest index wins ties
-        best_p = float(segment[best_i])
-        if abstain_threshold > 0.0 and best_p < abstain_threshold:
-            results.append(SelectionResult(chosen=None, abstained=True))
-        else:
-            results.append(SelectionResult(chosen=(sents[best_i].text, best_i, best_p), abstained=False))
+        results.append(SelectionResult((sents[best_i].text, best_i, float(segment[best_i]))))
     return results
 
 
@@ -141,11 +140,10 @@ def select(
     bridge: Passage,
     question: str,
     model: LinearModel,
-    abstain_threshold: float = 0.0,
     lex: Lexicons | None = None,
 ) -> SelectionResult:
     """``select_all`` for one pair."""
-    return select_all([(bridge, question)], model, abstain_threshold, lex)[0]
+    return select_all([(bridge, question)], model, lex)[0]
 
 
 def selector_accuracy(

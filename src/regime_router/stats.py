@@ -1,5 +1,5 @@
 """Statistical kernel: margins, per-query AUC, normal-CDF calibration,
-a tail-probability check, Kendall tau-b, McNemar, and Cohen's kappa.
+Kendall tau-b, McNemar, and Cohen's kappa.
 
 All functions are pure. Score pools arrive as sequences of floats; the
 gold passage score is kept separate from the pool throughout, so AUC and
@@ -21,8 +21,8 @@ class MarginRecord:
 
     sigma_q / sigma_b are the population standard deviations of the pool
     scores under the question embedding and the relation-sentence
-    embedding respectively; ``sigma_pool`` aliases the question-side value.
-    ``degenerate`` is set when either pool has zero spread.
+    embedding respectively. ``degenerate`` is set when either pool has
+    zero spread.
     """
 
     query_id: str
@@ -34,10 +34,6 @@ class MarginRecord:
     auc_b: float
     degenerate: bool = False
 
-    @property
-    def sigma_pool(self) -> float:
-        return self.sigma_q
-
 
 @dataclass(frozen=True)
 class CalibrationFit:
@@ -45,22 +41,6 @@ class CalibrationFit:
     inversion_accuracy: float
     n: int
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class TailBoundResult:
-    """Empirical tail mass versus the reported lower-bound formula.
-
-    ``bound`` is 1 / (1 + (t - 0.5)^2 / sigma^2), the form this harness
-    reports; ``classical_upper`` is the textbook one-sided bound
-    sigma^2 / (sigma^2 + (t - 0.5)^2) on the same tail, emitted alongside
-    because the two forms disagree in direction.
-    """
-
-    empirical: float
-    bound: float
-    satisfied: bool
-    classical_upper: float
 
 
 def separation_margin(gold_score: float, pool_scores) -> tuple[float, float]:
@@ -204,28 +184,6 @@ def calibration_fit(margins, aucs) -> CalibrationFit:
         inversion_accuracy=_pairwise_sign_agreement(pred, obs),
         n=int(obs.size),
         degenerate=degenerate,
-    )
-
-
-def cantelli_check(aucs, sigma: float, t: float) -> TailBoundResult:
-    """Evaluate the reported tail bound and its classical counterpart.
-
-    empirical = fraction of aucs strictly above t;
-    bound = 1 / (1 + (t - 0.5)^2 / sigma^2);
-    satisfied = empirical >= bound.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    arr = np.asarray(aucs, dtype=float)
-    empirical = float(np.mean(arr > t)) if arr.size else 0.0
-    ratio = (t - 0.5) ** 2 / sigma**2
-    bound = 1.0 / (1.0 + ratio)
-    classical = sigma**2 / (sigma**2 + (t - 0.5) ** 2)
-    return TailBoundResult(
-        empirical=empirical,
-        bound=bound,
-        satisfied=empirical >= bound,
-        classical_upper=classical,
     )
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -22,6 +23,7 @@ from regime_router.embedding_store import load_vectors, save_vectors
 from regime_router.linear_model import save_model
 from regime_router.router_retrieval import clip_alpha
 from regime_router.selector import train_selector
+from regime_router.text_analysis import ROUTER_FEATURE_NAMES
 
 
 def parse(argv):
@@ -90,6 +92,14 @@ def test_merge_config_file_overrides_default(tmp_path):
     assert cfg.k == 5  # untouched default
 
 
+def test_merge_config_keeps_an_int_for_a_float_field(tmp_path):
+    # Not coerced: the effective config and the experiment file-name hash see the file's value.
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"timeout": 10}), encoding="utf-8")
+    cfg = merge_config(parse(["ingest", "--dataset", "x", "--config", str(cfile)]))
+    assert type(cfg.timeout) is int and cfg.timeout == 10
+
+
 def test_merge_config_flag_overrides_file(tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"tau": 0.7}), encoding="utf-8")
@@ -116,6 +126,58 @@ def test_merge_config_invalid_json(tmp_path):
 def test_merge_config_validates_ranges():
     with pytest.raises(UsageError, match="tau"):
         merge_config(parse(["ingest", "--dataset", "x", "--tau", "1.5"]))
+
+
+@pytest.mark.parametrize(
+    "source, key, value",
+    [
+        ("file", "k", "5"),
+        ("file", "k", True),
+        ("file", "k", 5.0),
+        ("file", "tau", None),
+        ("file", "tau", "0.5"),
+        ("file", "alpha", False),
+        ("file", "label_mode", 1),
+        ("file", "l2_penalty", "1"),
+        ("flag", "tau", "nan"),
+        ("flag", "alpha", "inf"),
+        ("file", "timeout", float("-inf")),  # JSON's -Infinity
+        ("flag", "cv_folds", "0"),
+        ("flag", "cv_folds", "1"),
+        ("file", "cv_folds", -3),
+        ("flag", "l2_penalty", "nan"),
+        ("flag", "l2_penalty", "-1"),
+        ("file", "l2_penalty", -0.5),
+    ],
+)
+def test_bad_config_value_exits_two(world_dir, tmp_path, capsys, source, key, value):
+    if source == "file":
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({key: value}), encoding="utf-8")
+        extra = ["--config", str(cfile)]
+    else:
+        extra = [f"--{key.replace('_', '-')}", value]
+    code = main(
+        [
+            "train",
+            "--dataset", str(world_dir / "data"),
+            "--store", str(world_dir / "store.bin"),
+            "--annotations", str(world_dir / "annotations.jsonl"),
+            "--out-dir", str(tmp_path / "models"),
+            *extra,
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} ")
+    assert not (tmp_path / "models").exists()
+
+
+def test_ingest_checks_config_without_hop1_ranks(world_dir, tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"tau": None}), encoding="utf-8")
+    assert main(["ingest", "--dataset", str(world_dir / "data"), "--config", str(cfile)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: tau ")
 
 
 def test_invalid_tau_exit_code(world_dir):
@@ -410,9 +472,17 @@ def test_eval_writes_report_trace_csv(world_dir, trained_dir, tmp_path, capsys):
     first = json.loads(trace_lines[0])
     assert {"query_id", "p_union", "action", "hit_routed"} <= set(first)
 
-    csv_lines = (out / "eval_data.csv").read_text(encoding="utf-8").splitlines()
-    assert len(csv_lines) == 51
-    assert csv_lines[0].startswith("query_id,")
+    with open(out / "eval_data.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 50
+    assert header[0] == "query_id"
+    # The router features, flattened, follow the ten per-query columns.
+    assert header[10:] == [f"features.{name}" for name in ROUTER_FEATURE_NAMES]
+    assert len(ROUTER_FEATURE_NAMES) == 5
+    for line, row in zip(trace_lines, rows):
+        trace = json.loads(line)
+        assert row[0] == trace["query_id"]
+        assert [float(v) for v in row[10:]] == [trace["features"][name] for name in ROUTER_FEATURE_NAMES]
 
     assert "q_only=0.5000 routed=1.0000" in capsys.readouterr().out
 
@@ -573,6 +643,25 @@ def test_experiment_sweep_requires_router(world_dir, trained_dir, tmp_path, name
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("taus", ["0.5,abc", "0.5,nan", "inf", "0.5,,0.6", ""])
+def test_experiment_sweep_bad_taus_fail_before_loading(tmp_path, capsys, taus):
+    missing = tmp_path / "missing"
+    code = main(
+        [
+            "experiment", "threshold-sweep",
+            "--dataset", str(missing),
+            "--store", str(missing / "store.bin"),
+            "--selector-model", str(missing / "selector.json"),
+            "--router-model", str(missing / "router.json"),
+            "--taus", taus,
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --taus: ")
+
+
 def test_experiment_sweep_custom_taus(world_dir, trained_dir, tmp_path):
     code = main(
         [
@@ -656,7 +745,8 @@ def test_experiment_mixture(margin_dir, tmp_path):
     assert verdicts["comparison"] == "Q_dominant"
     assert verdicts["compositional"] == "B_dominant"
     agg = payload["aggregate"]
-    assert agg["q_minus_b_weighted"] == pytest.approx(agg["q_minus_b_micro"])
+    assert set(agg) == {"q_minus_b_weighted", "q_minus_b_micro"}
+    assert agg["q_minus_b_weighted"] == pytest.approx(agg["q_minus_b_micro"], rel=0, abs=1e-12)
     assert_rerun_identical(argv, tmp_path / "rerun")
 
 
@@ -677,44 +767,6 @@ def test_experiment_regime_agreement(margin_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# report
-
-
-def test_report_flattens_eval_per_query(world_dir, trained_dir, tmp_path, capsys):
-    out = tmp_path / "eval"
-    assert main(eval_args(world_dir, trained_dir, out, "--deterministic")) == EXIT_OK
-    csv_out = tmp_path / "flat.csv"
-    code = main(
-        ["report", "--report", str(out / "eval_data.json"), "--out", str(csv_out)]
-    )
-    assert code == EXIT_OK
-    lines = csv_out.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 51
-    header = lines[0].split(",")
-    assert "query_id" in header
-    assert any(col.startswith("features.") for col in header)
-
-
-def test_report_to_stdout(tmp_path, capsys):
-    report = tmp_path / "r.json"
-    report.write_text(
-        json.dumps({"rows": [{"tau": 0.5, "r_at_5": 1.0}, {"tau": 0.6, "r_at_5": 0.9}]}),
-        encoding="utf-8",
-    )
-    code = main(["report", "--report", str(report)])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "tau,r_at_5"
-    assert len(out) == 3
-
-
-def test_report_without_tabular_section(tmp_path):
-    report = tmp_path / "r.json"
-    report.write_text(json.dumps({"summary": 1.0}), encoding="utf-8")
-    assert main(["report", "--report", str(report)]) == EXIT_USAGE
-
-
-# ---------------------------------------------------------------------------
 # README
 
 
@@ -726,7 +778,7 @@ def test_readme_walkthrough_commands_parse():
         for line in block.replace("\\\n", " ").splitlines()
         if line.strip()
     ]
-    assert [argv[1] for argv in commands] == ["ingest", "embed", "train", "eval", "experiment", "report"]
+    assert [argv[1] for argv in commands] == ["ingest", "embed", "train", "eval", "experiment"]
     for argv in commands:
         assert argv[0] == "regime-router"
         build_parser().parse_args(argv[1:])

@@ -24,7 +24,6 @@ from regime_router.embedding_store import (
     CACHE_MAGIC,
     VectorFormatError,
     VectorStore,
-    fetch_remote,
     load_vectors,
     passage_key,
     question_key,
@@ -521,17 +520,6 @@ def test_parallel_fetch_preserves_order(tmp_path):
     b = parallel.fetch(texts, "doc")
     for va, vb in zip(a, b):
         assert np.array_equal(va, vb)
-
-
-def test_fetch_remote_wrapper(tmp_path):
-    cache = tmp_path / "c.json"
-    vecs = fetch_remote(
-        client_config(), ["one", "two"], "query", cache_path=cache, transport=make_transport([])
-    )
-    assert len(vecs) == 2
-    again = EmbeddingClient(client_config(), cache_path=cache, transport=make_transport([]))
-    assert all(np.array_equal(a, b) for a, b in zip(again.fetch(["one", "two"], "query"), vecs))
-    assert again.calls == 0
 
 
 # ---------------------------------------------------------------------------

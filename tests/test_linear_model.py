@@ -86,6 +86,13 @@ def test_label_validation():
         train(bad, (X[:, 0] > 0).astype(float))
 
 
+@pytest.mark.parametrize("l2", [float("nan"), float("inf"), -1.0])
+def test_bad_l2_penalty_rejected(l2):
+    X, y = separable()
+    with pytest.raises(ValueError, match="l2_penalty"):
+        train(X, y, TrainConfig(l2_penalty=l2))
+
+
 def test_nonconvergence_raises_with_grad_norm():
     X, y = separable()
     with pytest.raises(NonConvergenceError, match="no convergence after 1 iterations") as err:

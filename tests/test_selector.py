@@ -95,20 +95,6 @@ def test_select_empty_body_abstains():
     assert result.chosen is None
 
 
-def test_select_abstain_threshold():
-    model = train_selector(annotated_pool())
-    result = select(bridge("bt", THREE_SENT), "Who married the keeper?", model)
-    p = result.chosen[2]
-    high = select(
-        bridge("bt", THREE_SENT), "Who married the keeper?", model, abstain_threshold=min(1.0, p + 0.01)
-    )
-    assert high.abstained
-    low = select(
-        bridge("bt", THREE_SENT), "Who married the keeper?", model, abstain_threshold=p / 2
-    )
-    assert not low.abstained
-
-
 def test_select_tie_breaks_to_lowest_index():
     # With no weight on position, identical sentences score identically.
     trained = train_selector(annotated_pool())
@@ -144,15 +130,12 @@ _questions = st.lists(st.sampled_from(_WORDS), max_size=6).map(lambda words: "Wh
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.tuples(_bodies, _questions), max_size=8),
-    st.sampled_from((0.0, 0.05, 0.3, 0.6, 0.99)),
-)
-def test_select_all_equals_per_bridge_select(items, threshold):
+@given(st.lists(st.tuples(_bodies, _questions), max_size=8))
+def test_select_all_equals_per_bridge_select(items):
     model = pool_model()
     pairs = [(bridge(f"b{i}", body), question) for i, (body, question) in enumerate(items)]
-    batch = select_all(pairs, model, abstain_threshold=threshold)
-    one_by_one = [select(b, question, model, abstain_threshold=threshold) for b, question in pairs]
+    batch = select_all(pairs, model)
+    one_by_one = [select(b, question, model) for b, question in pairs]
     # Bit for bit: the chosen text, its index and its confidence.
     assert batch == one_by_one
 

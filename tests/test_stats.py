@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regime_router.stats import (
-    MarginRecord,
     _concordance,
     _pairwise_sign_agreement,
     calibration_fit,
-    cantelli_check,
     cohen_kappa,
     kendall_tau,
     mcnemar,
@@ -92,11 +90,6 @@ def test_phi_reference_points():
     assert phi(0.0) == 0.5
     assert abs(phi(1.959964) - PHI_1_959964) < 1e-12
     assert phi(-2.0) == pytest.approx(1.0 - phi(2.0))
-
-
-def test_margin_record_sigma_pool_alias():
-    rec = MarginRecord("q", 1.0, 2.0, 0.3, 0.4, 0.9, 0.8)
-    assert rec.sigma_pool == rec.sigma_q
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +194,6 @@ def test_concordance_rejects_non_finite():
         kendall_tau([1.0, math.nan, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
         _pairwise_sign_agreement(np.array([0.6, 0.7, 0.8]), np.array([0.6, math.inf, 0.7]))
-
-
-# ---------------------------------------------------------------------------
-# Tail bound
-
-
-def test_cantelli_fields_and_direction():
-    res = cantelli_check([0.99, 0.98, 0.6], sigma=0.1, t=0.9)
-    assert res.empirical == pytest.approx(2.0 / 3.0)
-    assert res.bound == pytest.approx(1.0 / (1.0 + 0.16 / 0.01))
-    assert res.classical_upper == pytest.approx(0.01 / (0.01 + 0.16))
-    # The reported form and the classical form are the same number here;
-    # both are carried so reports can label them separately.
-    assert res.bound == pytest.approx(res.classical_upper)
-    assert res.satisfied == (res.empirical >= res.bound)
-
-
-def test_cantelli_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        cantelli_check([0.9], sigma=0.0, t=0.9)
 
 
 # ---------------------------------------------------------------------------
