@@ -212,11 +212,11 @@ def _apply_hop1_filter(ds: Dataset, args: argparse.Namespace, k: int) -> Dataset
 
 
 # Artifacts are written to a temporary file renamed over the old one, so a
-# failed run never leaves a torn artifact behind.
+# failed run never leaves a torn artifact behind, and a NaN fails the run.
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -406,7 +406,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     trace_path = out_dir / f"eval_{ds.name}_trace.jsonl"
     with atomic_write(trace_path, encoding="utf-8") as fh:
         for row in payload["per_query"]:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
     header, rows = report.csv_rows()
     _write_csv(out_dir / f"eval_{ds.name}.csv", header, rows)
 

@@ -5,11 +5,13 @@ dataclass out. Reports expose ``to_json_dict`` for the JSON emitters and
 ``csv_rows`` (header, rows) for plot-ready CSV.
 
 Each protocol is a reduction over one ``router_retrieval.analyze`` pass:
-its selections, relation sentences, ``PoolIndex`` and score matrices.
-Decisions come from ``route``, the oracle's too. Fused rankings, gold
-ranks, hits, margins and AUCs are whole-matrix reductions, equal bit for
-bit to ranking each pool alone, so results are deterministic. Knockout
-scores its bridge variants over its own subset of the queries.
+its selections, relation sentences, router features, ``PoolIndex`` and
+score matrices. Decisions come from one ``route`` call over the
+analysis's feature matrix; the oracle routes the feature rows of its
+oracle sentences in one more call. Fused rankings, gold ranks, hits,
+margins and AUCs are whole-matrix reductions, equal bit for bit to
+ranking each pool alone, so results are deterministic. Knockout scores
+its bridge variants over its own subset of the queries.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ import numpy as np
 from .corpus import Dataset
 from .linear_model import LinearModel
 from .router_retrieval import (
+    ACTION_Q,
     ACTION_UNION,
     Analysis,
     PoolIndex,
     RoutingConfig,
-    RoutingDecision,
     analyze,
     fuse_scores,
     hits_at_k,
     route,
 )
-from .selector import SelectionResult, oracle_label, select_all
+from .selector import oracle_label, select_all
 from .stats import (
     CalibrationFit,
     MarginRecord,
@@ -48,6 +50,7 @@ from .text_analysis import (
     assign_regime,
     p1_proxy,
     p2_proxy,
+    router_features,
     split_sentences,
 )
 
@@ -96,11 +99,6 @@ class QueryTrace:
         }
 
 
-def _decisions(ds: Dataset, analysis: Analysis, router_model, cfg: RoutingConfig, lex) -> list[RoutingDecision]:
-    return [route(q, ds.passage(q.bridge_id), s, router_model, cfg, lex)
-            for q, s in zip(ds.queries, analysis.selections)]
-
-
 def _traced(
     ds: Dataset,
     store: VectorStore,
@@ -113,28 +111,28 @@ def _traced(
     if not ds.queries:
         raise ValueError("dataset has no queries")
     analysis = analyze(ds, store, selector_model, lex)
-    decisions = _decisions(ds, analysis, router_model, cfg, lex)
-    index, (s_q, s_b) = analysis.index, analysis.scores
-    alpha = np.array([d.alpha_used for d in decisions])[:, None]
-    fused = np.where(analysis.has_b_rel[:, None], fuse_scores(s_q, s_b, alpha), s_q)
+    index, (s_q, s_b), has_b = analysis.index, analysis.scores, analysis.has_b_rel
+    p_union, union, alpha = route(analysis.features, has_b, router_model, cfg)
+    fused = np.where(has_b[:, None], fuse_scores(s_q, s_b, alpha[:, None]), s_q)
     rank_q, rank_u = index.ranks(s_q), index.ranks(fused)
     hit_q, hit_u = hits_at_k(rank_q, cfg.k), hits_at_k(rank_u, cfg.k)
+    features, p_union, alpha = analysis.features.tolist(), p_union.tolist(), alpha.tolist()
     traces = [
         QueryTrace(
             query_id=q.id,
             qtype=q.qtype,
-            features=dict(zip(ROUTER_FEATURE_NAMES, (float(v) for v in d.features.as_vector()))),
-            p_union=d.p_union,
-            alpha_used=d.alpha_used,
-            action=d.action,
-            fallback=d.fallback,
-            b_rel=d.b_rel,
+            features=dict(zip(ROUTER_FEATURE_NAMES, features[i])),
+            p_union=p_union[i],
+            alpha_used=alpha[i],
+            action=ACTION_UNION if union[i] else ACTION_Q,
+            fallback=not has_b[i],
+            b_rel=analysis.b_rels[i],
             rank_q=int(rank_q[i]) or None,
             rank_union=int(rank_u[i]) or None,
             hit_q=bool(hit_q[i]),
             hit_union=bool(hit_u[i]),
         )
-        for i, (q, d) in enumerate(zip(ds.queries, decisions))
+        for i, q in enumerate(ds.queries)
     ]
     return traces, analysis
 
@@ -578,26 +576,25 @@ def run_oracle_analysis(
     oracle_router = sum(max(t.hit_q, t.hit_union) for t in traces) / n
 
     # Per query: the hit under the oracle's relation sentence, routed.
-    oracle_hits = [t.hit_routed for t in traces]
-    fused: list[tuple[int, str, float]] = []  # (query, oracle sentence, alpha) routed to Union
+    oracle_hits = np.array([t.hit_routed for t in traces])
+    rows, brels, features = [], [], []
     for i, q in enumerate(ds.queries):
         bridge = ds.passage(q.bridge_id)
         idx = oracle_label(bridge, q.hop2_title, lex)
-        if idx is None:
-            continue
-        brel = split_sentences(bridge.body, lex)[idx].text
-        d = route(q, bridge, SelectionResult((brel, idx, 1.0)), router_model, cfg, lex)
-        if d.action == ACTION_UNION:
-            fused.append((i, brel, d.alpha_used))
-        else:
-            oracle_hits[i] = traces[i].hit_q
-    rows = [i for i, _, _ in fused]
-    sub = analysis.index.take(rows)
-    (s_b,) = sub.score(store, [text_key(brel) for _, brel, _ in fused])
-    alphas = np.array([a for _, _, a in fused])[:, None]
-    for i, hit in zip(rows, hits_at_k(sub.ranks(fuse_scores(analysis.scores[0][rows], s_b, alphas)), cfg.k)):
-        oracle_hits[i] = bool(hit)
-    oracle_selector = sum(oracle_hits) / n
+        if idx is not None:
+            brel = split_sentences(bridge.body, lex)[idx].text
+            rows.append(i)
+            brels.append(brel)
+            features.append(router_features(q.question, brel, bridge.body, lex).as_vector())
+    features = np.reshape(features, (len(rows), len(ROUTER_FEATURE_NAMES)))
+    _, union, alpha = route(features, np.ones(len(rows), dtype=bool), router_model, cfg)
+    oracle_hits[rows] = [traces[i].hit_q for i in rows]
+    fused = np.array(rows, dtype=np.intp)[union]
+    sub = analysis.index.take(fused)
+    (s_b,) = sub.score(store, [text_key(brel) for brel, u in zip(brels, union) if u])
+    s_u = fuse_scores(analysis.scores[0][fused], s_b, alpha[union][:, None])
+    oracle_hits[fused] = hits_at_k(sub.ranks(s_u), cfg.k)
+    oracle_selector = int(np.count_nonzero(oracle_hits)) / n
 
     return OracleReport(
         baseline_q=baseline,
@@ -650,8 +647,9 @@ def run_ablations(
     # Every condition fuses the analysis's matrices. A query whose selector
     # abstains keeps its Q hit under every condition that uses the sentence.
     analysis = analyze(ds, store, selector_model, lex, [text_key(ds.passage(q.bridge_id).body) for q in ds.queries])
-    decisions = _decisions(ds, analysis, router_model, cfg, lex)
     index, (s_q, s_b, s_body), chosen = analysis.index, analysis.scores, analysis.has_b_rel
+    _, union, alpha_used = route(analysis.features, chosen, router_model, cfg)
+    column = dict(zip(ROUTER_FEATURE_NAMES, analysis.features.T))
     hit_q = hits_at_k(index.ranks(s_q), cfg.k)
 
     def hits_where(rule, other, alpha) -> int:
@@ -659,16 +657,12 @@ def run_ablations(
         fused = hits_at_k(index.ranks(fuse_scores(s_q, other, alpha)), cfg.k)
         return int(np.count_nonzero(np.where(rule, fused, hit_q)))
 
-    union = chosen & np.array([d.action == ACTION_UNION for d in decisions], dtype=bool)
-    ne_union = chosen & np.array(
-        [d.features.b_new_entity_count >= 1 and d.features.q_comparison_word == 0 for d in decisions], dtype=bool
-    )
-    alpha_used = np.array([d.alpha_used for d in decisions])[:, None]
+    ne_union = chosen & (column["b_new_entity_count"] >= 1) & (column["q_comparison_word"] == 0)
     hits_q = int(np.count_nonzero(hit_q))
     hits_full_unrouted = hits_where(True, s_body, 0.5)
     hits_brel_unrouted = hits_where(chosen, s_b, 0.5)
     hits_routed_half = hits_where(union, s_b, 0.5)
-    hits_routed_main = hits_where(union, s_b, alpha_used)
+    hits_routed_main = hits_where(union, s_b, alpha_used[:, None])
     hits_ne = hits_where(ne_union, s_b, cfg.alpha)
 
     base = hits_q / n

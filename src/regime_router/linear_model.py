@@ -7,14 +7,16 @@ identical inputs produce bitwise-identical models.
 
 Features are standardized internally; the transform is stored in the
 model so artifacts are self-contained. Constant columns are flagged and
-their weights forced to zero.
+their weights forced to zero. ``predict_proba`` is the one scoring path:
+it takes a matrix of rows and one dot product per row, so a row scores
+the same alone or in any batch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +111,8 @@ def train(X, y, cfg: TrainConfig | None = None) -> LinearModel:
 
     When the line search can no longer lower the loss, the iterate is also
     accepted with a gradient norm up to sqrt(eps) * n, the float floor of
-    a gradient summed over n rows. Any other stop raises
+    a gradient summed over n rows; training stops at the first flat step
+    that lands within that floor. Any other stop raises
     NonConvergenceError, naming a line-search stall or ``max_iter``.
     """
     cfg = cfg or TrainConfig()
@@ -134,6 +137,10 @@ def train(X, y, cfg: TrainConfig | None = None) -> LinearModel:
     free = ~constant
     Z = Z_full[:, free]
 
+    # Past the float floor the loss cannot resolve a better iterate. A
+    # minimizer is then located to about sqrt(eps) relative accuracy, so
+    # a gradient summed over n standardized rows stops near sqrt(eps) * n.
+    floor_tol = math.sqrt(np.finfo(float).eps) * X.shape[0]
     l2 = cfg.l2_penalty
     theta = np.zeros(Z.shape[1] + 1)
     grad = _gradient(theta, Z, yv, l2)
@@ -171,11 +178,9 @@ def train(X, y, cfg: TrainConfig | None = None) -> LinearModel:
             stalled_at = it
             break
         grad = _gradient(theta, Z, yv, l2)
-    final_norm = float(np.linalg.norm(_gradient(theta, Z, yv, l2)))
-    # Past the float floor the loss cannot resolve a better iterate. A
-    # minimizer is then located to about sqrt(eps) relative accuracy, so
-    # a gradient summed over n standardized rows stops near sqrt(eps) * n.
-    floor_tol = math.sqrt(np.finfo(float).eps) * X.shape[0]
+        if not lowered and float(np.linalg.norm(grad)) <= floor_tol:
+            break  # a flat step within the floor: later steps cannot do better
+    final_norm = float(np.linalg.norm(grad))
     if final_norm > cfg.tol and (lowered or final_norm > floor_tol):
         raise NonConvergenceError(final_norm, cfg.max_iter, stalled_at)
 
@@ -203,35 +208,23 @@ def with_feature_names(m: LinearModel, names) -> LinearModel:
     names = tuple(names)
     if len(names) != len(m.weights):
         raise ValueError("feature name count must match weight count")
-    return LinearModel(
-        weights=m.weights,
-        bias=m.bias,
-        feature_names=names,
-        mean=m.mean,
-        std=m.std,
-        constant=m.constant,
-        train_meta=m.train_meta,
-    )
+    return replace(m, feature_names=names)
 
 
-def predict_proba(m: LinearModel, x) -> float:
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (len(m.weights),):
-        raise ValueError(f"expected {len(m.weights)} features, got shape {xv.shape}")
-    if not np.all(np.isfinite(xv)):
-        raise ValueError("feature vector contains non-finite values")
-    z = m.standardize(xv)
-    eta = float(np.dot(z, np.asarray(m.weights)) + m.bias)
-    if eta >= 0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    e = math.exp(eta)
-    return e / (1.0 + e)
+def predict_proba(m: LinearModel, X) -> np.ndarray:
+    """P(y = 1) for every row of an n x d feature matrix.
 
-
-def predict_proba_matrix(m: LinearModel, X) -> np.ndarray:
+    Each logit is one dot product of its standardized row with the weights,
+    so a row's probability does not depend on the batch it is scored in.
+    """
     Xv = np.asarray(X, dtype=float)
+    if Xv.ndim != 2 or Xv.shape[1] != len(m.weights):
+        raise ValueError(f"expected rows of {len(m.weights)} features, got shape {Xv.shape}")
+    if not np.all(np.isfinite(Xv)):
+        raise ValueError("feature matrix contains non-finite values")
     Z = m.standardize(Xv)
-    return _sigmoid(Z @ np.asarray(m.weights) + m.bias)
+    w = np.asarray(m.weights)
+    return _sigmoid(np.matmul(Z[:, None, :], w[:, None])[:, 0, 0] + m.bias)
 
 
 def fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
@@ -275,30 +268,14 @@ def cross_fit(X, y, k: int = 5, cfg: TrainConfig | None = None) -> CrossFitResul
             fm = train(X[mask], yv[mask], cfg)
         except Exception as exc:
             raise FoldError(fi, exc) from exc
-        fm = LinearModel(
-            weights=fm.weights,
-            bias=fm.bias,
-            feature_names=fm.feature_names,
-            mean=fm.mean,
-            std=fm.std,
-            constant=fm.constant,
-            train_meta={**fm.train_meta, "fold": fi},
-        )
+        fm = replace(fm, train_meta={**fm.train_meta, "fold": fi})
         fold_models.append(fm)
-        oof[lo:hi] = predict_proba_matrix(fm, X[lo:hi])
+        oof[lo:hi] = predict_proba(fm, X[lo:hi])
     try:
         full = train(X, yv, cfg)
     except Exception as exc:
         raise FoldError(-1, exc) from exc
-    full = LinearModel(
-        weights=full.weights,
-        bias=full.bias,
-        feature_names=full.feature_names,
-        mean=full.mean,
-        std=full.std,
-        constant=full.constant,
-        train_meta={**full.train_meta, "fold": -1},
-    )
+    full = replace(full, train_meta={**full.train_meta, "fold": -1})
     return CrossFitResult(
         out_of_fold_probs=tuple(float(p) for p in oof),
         fold_models=tuple(fold_models),
@@ -322,7 +299,7 @@ def save_model(m: LinearModel, path: Path | str) -> None:
         "train_meta": m.train_meta,
     }
     with atomic_write(path, encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _numbers(values, what: str, path) -> tuple[float, ...]:

@@ -1,14 +1,16 @@
 """The deployment pipeline: select, featurize, route, fuse, rank.
 
 ``analyze`` is the one pass over a dataset's queries that every protocol
-reduces: one selection batch, each query's relation sentence B_rel, the
-run's ``PoolIndex``, and one (queries x pool) score matrix per side.
+reduces: one selection batch, each query's relation sentence B_rel, its
+row of router features, the run's ``PoolIndex``, and one (queries x pool)
+score matrix per side.
 
 Per query the pipeline picks one of two actions. Q ranks the candidate
 pool by the question embedding alone; Union ranks by the convex
 combination (1 - alpha) * s_q + alpha * s_brel, where s_brel scores the
 selected relation sentence embedded in query mode. The router is a
-linear model over RouterFeatures; ``route`` takes Union iff its
+linear model over the five router features; ``route`` scores a whole
+feature matrix in one predict call and takes Union for each row whose
 probability meets the threshold tau (boundary inclusive).
 
 Gold ranks, hits, margins and AUCs are whole-matrix reductions of the
@@ -24,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, Passage, Query
+from .corpus import Dataset
 from .embedding_store import MODE_DOC, MODE_QUERY, VectorStore, passage_key, question_key, score_rows, text_key
 from .linear_model import LinearModel, predict_proba
 from .selector import SelectionResult, select_all
 from .stats import pool_margins
-from .text_analysis import Lexicons, RouterFeatures, router_features
+from .text_analysis import ROUTER_FEATURE_NAMES, Lexicons, router_features
 
 ACTION_Q = "Q"
 ACTION_UNION = "Union"
@@ -62,16 +64,6 @@ class RoutingConfig:
 
 
 @dataclass(frozen=True)
-class RoutingDecision:
-    action: str
-    p_union: float
-    alpha_used: float
-    b_rel: str = ""
-    features: RouterFeatures | None = None
-    fallback: bool = False  # selector abstained; action forced to Q, p_union 0
-
-
-@dataclass(frozen=True)
 class RankedList:
     entries: tuple[tuple[str, float], ...]  # (candidate id, score), best first
     k: int
@@ -84,12 +76,12 @@ class RankedList:
         return None
 
 
-def clip_alpha(p_union: float) -> float:
-    """The probability-weighted alpha rule: clip(p x 0.5, 0.1, 0.5)."""
-    return min(max(p_union * 0.5, 0.1), 0.5)
+def clip_alpha(p_union):
+    """The probability-weighted alpha rule: clip(p x 0.5, 0.1, 0.5), per element."""
+    return np.clip(p_union * 0.5, 0.1, 0.5)
 
 
-def fusion_alpha(p_union: float, cfg: RoutingConfig) -> float:
+def fusion_alpha(p_union, cfg: RoutingConfig):
     """The alpha that Union fuses with under ``cfg.alpha_mode``."""
     return clip_alpha(p_union) if cfg.alpha_mode == ALPHA_MODE_P_WEIGHTED else cfg.alpha
 
@@ -112,37 +104,22 @@ def fuse_scores(q_scores, brel_scores, alpha) -> np.ndarray:
 
 
 def route(
-    q: Query,
-    bridge: Passage,
-    selection: SelectionResult,
+    features,
+    has_sentence,
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
-) -> RoutingDecision:
-    """Extract features from the query's selection and pick the action."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route every row of a router feature matrix: (p_union, union, alpha) arrays.
+
+    A row without a relation sentence has nothing to fuse with: it is forced
+    to Q with p_union 0 and alpha ``cfg.alpha``.
+    """
     cfg = cfg or RoutingConfig()
-    if selection.abstained:
-        # Nothing to fuse with: forced Q, recorded as a fallback.
-        feats = router_features(q.question, "", bridge.body, lex)
-        return RoutingDecision(
-            action=ACTION_Q,
-            p_union=0.0,
-            alpha_used=cfg.alpha,
-            b_rel="",
-            features=feats,
-            fallback=True,
-        )
-    b_rel = selection.chosen[0]
-    feats = router_features(q.question, b_rel, bridge.body, lex)
-    p_union = predict_proba(router_model, feats.as_vector())
-    action = ACTION_UNION if p_union >= cfg.tau else ACTION_Q
-    return RoutingDecision(
-        action=action,
-        p_union=p_union,
-        alpha_used=fusion_alpha(p_union, cfg),
-        b_rel=b_rel,
-        features=feats,
-    )
+    has_sentence = np.asarray(has_sentence, dtype=bool)
+    p_union = np.where(has_sentence, predict_proba(router_model, features), 0.0)
+    union = has_sentence & (p_union >= cfg.tau)
+    alpha = np.where(has_sentence, fusion_alpha(p_union, cfg), cfg.alpha)
+    return p_union, union, alpha
 
 
 def rank_pool(
@@ -256,6 +233,7 @@ class Analysis:
 
     selections: tuple[SelectionResult, ...]
     b_rels: tuple[str, ...]  # "" where the selector abstained
+    features: np.ndarray  # (n, 5) router features, in ROUTER_FEATURE_NAMES order
     index: PoolIndex
     scores: tuple[np.ndarray, ...]
 
@@ -274,10 +252,13 @@ def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, lex: L
     pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
     selections = tuple(select_all(pairs, selector_model, lex=lex))
     b_rels = tuple("" if s.abstained else s.chosen[0] for s in selections)
+    features = np.reshape([router_features(q, b_rel, bridge.body, lex).as_vector()
+                           for (bridge, q), b_rel in zip(pairs, b_rels)], (len(pairs), len(ROUTER_FEATURE_NAMES)))
     index = PoolIndex.build(store, ds.queries)
     questions = [question_key(q.id) for q in ds.queries]
     sentences = [text_key(b_rel) if b_rel else qid for b_rel, qid in zip(b_rels, questions)]
-    return Analysis(selections, b_rels, index, tuple(index.score(store, questions, sentences, *extra_sides)))
+    scores = tuple(index.score(store, questions, sentences, *extra_sides))
+    return Analysis(selections, b_rels, features, index, scores)
 
 
 def build_router_training(
@@ -295,10 +276,6 @@ def build_router_training(
     """
     cfg = cfg or RoutingConfig()
     analysis = analyze(ds, store, selector_model, lex)
-    X = [
-        router_features(q.question, b_rel, ds.passage(q.bridge_id).body, lex).as_vector()
-        for q, b_rel in zip(ds.queries, analysis.b_rels)
-    ]
     s_q, s_b = analysis.scores
     rank_q = analysis.index.ranks(s_q)
     rank_u = analysis.index.ranks(fuse_scores(s_q, s_b, cfg.alpha))
@@ -307,4 +284,4 @@ def build_router_training(
     else:
         gain = hits_at_k(rank_u, cfg.k) & ~hits_at_k(rank_q, cfg.k)
     labels = gain & analysis.has_b_rel
-    return np.asarray(X, dtype=float), labels.astype(float)
+    return analysis.features, labels.astype(float)

@@ -5,9 +5,10 @@ SentenceFeatures and returns the argmax (lowest index on ties).
 ``select_all`` selects for a whole batch of (bridge, question) pairs with
 one predict call over their stacked sentence rows; ``select`` is a batch
 of one, and every protocol selects all its queries in one batch. A
-selection abstains exactly when its bridge has no sentence. Oracle
-labels come from title containment; training expands each annotated
-passage into per-sentence binary rows.
+sentence's score does not depend on its batch, since ``predict_proba``
+takes one dot product per row. A selection abstains exactly when its
+bridge has no sentence. Oracle labels come from title containment;
+training expands each annotated passage into per-sentence binary rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .linear_model import (
     LinearModel,
     TrainConfig,
     fold_bounds,
-    predict_proba_matrix,
+    predict_proba,
     train,
     with_feature_names,
 )
@@ -117,12 +118,7 @@ def select_all(
         for (_, question), sents in zip(pairs, splits)
         for i, s in enumerate(sents)
     ]
-    if len(rows) == 1:
-        # A one-row product takes numpy's dot path, which sums in another
-        # order than the matrix-vector product every longer batch uses; a
-        # copy of the row keeps a row's score independent of its batch.
-        rows.append(rows[0])
-    probs = predict_proba_matrix(model, rows) if rows else None
+    probs = predict_proba(model, rows) if rows else None
     results: list[SelectionResult] = []
     lo = 0
     for sents in splits:

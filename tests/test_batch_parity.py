@@ -6,10 +6,14 @@ with ``VectorStore.score``, the way a single query is ranked, on a world
 built to hit the edges: pools of mixed sizes, a gold passage outside its
 pool, a pool holding only the gold, a bridge the selector abstains on, and
 passages that share a vector, so that scores tie and ids break the ties.
+A query's outputs must not depend on the other queries in its batch:
+shuffled, cut short or run alone, each trace row and margin record stays
+the same to the bit.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -28,12 +32,12 @@ from regime_router.experiments import (
     run_oracle_analysis,
     threshold_sweep,
 )
-from regime_router.linear_model import predict_proba, train
+from regime_router.linear_model import train
 from regime_router.router_retrieval import (
+    ACTION_Q,
     ACTION_UNION,
     RoutingConfig,
     build_router_training,
-    fusion_alpha,
     rank_pool,
     recall_at_k,
     route,
@@ -107,17 +111,23 @@ def parity(routing_world):
     assert selections[HOLLOW].abstained
     assert sum(s.abstained for s in selections) == 1
     # A threshold inside the spread of p_union, so that both actions occur.
-    p = sorted(
-        route(q, ds.passage(q.bridge_id), s, router).p_union
-        for q, s in zip(ds.queries, selections)
-        if not s.abstained
-    )
+    p = sorted(d.p_union for d in _routed_alone(ds, selections, router, RoutingConfig()) if not d.fallback)
     cfg = RoutingConfig(tau=p[len(p) // 2], alpha=0.4, k=K)
     return ds, store, selector, router, selections, cfg
 
 
-def _decisions(ds, selections, router, cfg):
-    return [route(q, ds.passage(q.bridge_id), s, router, cfg) for q, s in zip(ds.queries, selections)]
+Routed = collections.namedtuple("Routed", "b_rel p_union action alpha_used fallback features")
+
+
+def _routed_alone(ds, selections, router, cfg):
+    """Each query routed on its own: ``route`` over its one-row feature matrix."""
+    routed = []
+    for q, selection in zip(ds.queries, selections):
+        b_rel = "" if selection.abstained else selection.chosen[0]
+        features = router_features(q.question, b_rel, ds.passage(q.bridge_id).body)
+        (p,), (union,), (alpha,) = route([features.as_vector()], [bool(b_rel)], router, cfg)
+        routed.append(Routed(b_rel, float(p), ACTION_UNION if union else ACTION_Q, float(alpha), not b_rel, features))
+    return routed
 
 
 def _ranked(store, q, side=None, alpha=0.0):
@@ -141,7 +151,7 @@ def test_eval_traces_match_per_query_ranking(parity, alpha_mode):
     cfg = dataclasses.replace(cfg, alpha_mode=alpha_mode)
     report = run_main_eval(ds, store, selector, router, cfg)
     actions = set()
-    for q, d, t in zip(ds.queries, _decisions(ds, selections, router, cfg), report.traces):
+    for q, d, t in zip(ds.queries, _routed_alone(ds, selections, router, cfg), report.traces):
         ranked_q = _ranked(store, q)
         ranked_u = _ranked(store, q, d.b_rel, d.alpha_used) if d.b_rel else ranked_q
         assert (t.query_id, t.p_union, t.alpha_used, t.action, t.fallback, t.b_rel) == (
@@ -231,7 +241,7 @@ def test_ablations_match_per_query_reference(parity, alpha_mode):
     ds, store, selector, router, selections, cfg = parity
     cfg = dataclasses.replace(cfg, alpha_mode=alpha_mode)
     counts = [0] * 6
-    for q, d in zip(ds.queries, _decisions(ds, selections, router, cfg)):
+    for q, d in zip(ds.queries, _routed_alone(ds, selections, router, cfg)):
         hit_q = _hit(store, q)
         full = _hit(store, q, ds.passage(q.bridge_id).body, 0.5)
         if d.fallback:
@@ -254,7 +264,7 @@ def test_ablations_match_per_query_reference(parity, alpha_mode):
 def test_oracle_matches_per_query_reference(parity):
     ds, store, selector, router, selections, cfg = parity
     hits = 0
-    for q, d in zip(ds.queries, _decisions(ds, selections, router, cfg)):
+    for q, d in zip(ds.queries, _routed_alone(ds, selections, router, cfg)):
         bridge = ds.passage(q.bridge_id)
         hit_q = _hit(store, q)
         idx = oracle_label(bridge, q.hop2_title)
@@ -263,15 +273,15 @@ def test_oracle_matches_per_query_reference(parity):
             hits += _hit(store, q, d.b_rel, d.alpha_used) if routed else hit_q
             continue
         brel = split_sentences(bridge.body)[idx].text
-        p = predict_proba(router, router_features(q.question, brel, bridge.body).as_vector())
-        hits += _hit(store, q, brel, fusion_alpha(p, cfg)) if p >= cfg.tau else hit_q
+        (_,), (union,), (alpha,) = route([router_features(q.question, brel, bridge.body).as_vector()], [True], router, cfg)
+        hits += _hit(store, q, brel, alpha) if union else hit_q
     assert run_oracle_analysis(ds, store, selector, router, cfg).oracle_selector == hits / N_QUERIES
 
 
 def test_sweep_matches_per_query_reference(parity):
     ds, store, selector, router, selections, cfg = parity
     taus = (0.0, cfg.tau, 0.9, 2.0)
-    decisions = _decisions(ds, selections, router, cfg)
+    decisions = _routed_alone(ds, selections, router, cfg)
     expected = []
     for tau in taus:
         union = [not d.fallback and d.p_union >= tau for d in decisions]
@@ -282,6 +292,29 @@ def test_sweep_matches_per_query_reference(parity):
         expected.append((hits / N_QUERIES, sum(union) / N_QUERIES))
     report = threshold_sweep(ds, store, selector, router, taus, cfg)
     assert [(r.r_at_5, r.union_rate) for r in report.rows] == expected
+
+
+@pytest.mark.parametrize("alpha_mode", ["frozen", "p_weighted"])
+def test_outputs_do_not_depend_on_the_batch(parity, alpha_mode):
+    ds, store, selector, router, _, cfg = parity
+    cfg = dataclasses.replace(cfg, alpha_mode=alpha_mode)
+
+    def rows(queries):
+        """Each query's eval trace row and margin record, by query id, down to the bit."""
+        sub = dataclasses.replace(ds, queries=tuple(queries))
+        traces = run_main_eval(sub, store, selector, router, cfg).traces
+        margins = compute_margins(sub, store, selector)
+        return {t.query_id: repr((t.to_json_dict(), m)) for t, m in zip(traces, margins, strict=True)}
+
+    whole = rows(ds.queries)
+    order = np.random.default_rng(5).permutation(N_QUERIES)
+    assert rows([ds.queries[i] for i in order]) == whole
+    for n in (1, 2, 3, 7):
+        assert rows(ds.queries[:n]) == {q.id: whole[q.id] for q in ds.queries[:n]}
+    alone = {}
+    for q in ds.queries:
+        alone.update(rows([q]))
+    assert alone == whole
 
 
 @pytest.mark.parametrize("label_mode", ["strict", "rank_gain"])

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regime_router import cli
 from regime_router.cli import (
     EXIT_INTEGRITY,
     EXIT_OK,
@@ -23,6 +26,7 @@ from regime_router.embedding_store import load_vectors, save_vectors
 from regime_router.linear_model import save_model
 from regime_router.router_retrieval import clip_alpha
 from regime_router.selector import train_selector
+from regime_router.stats import CalibrationFit
 from regime_router.text_analysis import ROUTER_FEATURE_NAMES
 
 
@@ -496,6 +500,39 @@ def test_eval_deterministic_is_byte_identical(world_dir, trained_dir, tmp_path):
     assert "generated_at" not in payload
     for name in ("eval_data.json", "eval_data_trace.jsonl", "eval_data.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_eval_nan_fails_and_keeps_the_previous_artifacts(world_dir, trained_dir, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "eval"
+    assert main(eval_args(world_dir, trained_dir, out, "--deterministic")) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real = cli.run_main_eval
+
+    def with_nan(*args, **kwargs):
+        report = real(*args, **kwargs)
+        traces = (dataclasses.replace(report.traces[0], p_union=math.nan), *report.traces[1:])
+        return dataclasses.replace(report, traces=traces)
+
+    monkeypatch.setattr(cli, "run_main_eval", with_nan)
+    capsys.readouterr()
+    assert main(eval_args(world_dir, trained_dir, out, "--deterministic")) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON compliant" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_experiment_nan_fails_and_keeps_the_previous_artifact(tmp_path, monkeypatch, capsys):
+    argv = [
+        "experiment", "synthetic-calibration", "--n", "100", "--pool-size", "20",
+        "--out-dir", str(tmp_path), "--deterministic",
+    ]
+    assert main(argv) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(cli, "synthetic_calibration", lambda **kwargs: CalibrationFit(math.nan, 0.5, 100))
+    capsys.readouterr()
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error:")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_eval_p_weighted_alpha_recorded(world_dir, trained_dir, tmp_path):

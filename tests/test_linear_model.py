@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -15,8 +16,8 @@ from regime_router.linear_model import (
     cross_fit,
     fold_bounds,
     load_model,
+    _sigmoid,
     predict_proba,
-    predict_proba_matrix,
     save_model,
     train,
     with_feature_names,
@@ -35,7 +36,7 @@ def separable(n=80, seed=0):
 def test_train_fits_separable_data():
     X, y = separable()
     m = train(X, y)
-    preds = predict_proba_matrix(m, X) > 0.5
+    preds = predict_proba(m, X) > 0.5
     assert np.mean(preds == y.astype(bool)) > 0.95
     assert m.train_meta["deterministic"] is True
 
@@ -65,7 +66,8 @@ def test_constant_column_gets_zero_weight():
     # A shifted constant must not move predictions.
     x = np.array([0.2, -0.1, 0.5, 7.0])
     x_shift = np.array([0.2, -0.1, 0.5, 99.0])
-    assert predict_proba(m, x) == predict_proba(m, x_shift)
+    p, p_shift = predict_proba(m, [x, x_shift])
+    assert p == p_shift
 
 
 def test_single_class_rejected():
@@ -116,7 +118,7 @@ def test_router_converges_at_the_float_floor():
     X, y = build_router_training(ds, store, train_selector(annotations))
     m = train(X, y)
     assert m.train_meta == {"n": 1600, "l2_penalty": 1.0, "tol": 1e-8, "max_iter": 200, "deterministic": True}
-    assert np.all((predict_proba_matrix(m, X) >= 0.5) == (y == 1.0))
+    assert np.all((predict_proba(m, X) >= 0.5) == (y == 1.0))
     eta = m.standardize(X) @ np.asarray(m.weights) + m.bias
     r = 1.0 / (1.0 + np.exp(-eta)) - y
     grad = np.concatenate([m.standardize(X).T @ r + np.asarray(m.weights), [r.sum()]])
@@ -134,12 +136,36 @@ def test_predict_proba_validation():
     X, y = separable()
     m = train(X, y)
     with pytest.raises(ValueError, match="features"):
-        predict_proba(m, [0.1, 0.2])
+        predict_proba(m, [[0.1, 0.2]])
+    with pytest.raises(ValueError, match="features"):
+        predict_proba(m, X[0])  # a bare vector is not a matrix of rows
     with pytest.raises(ValueError, match="finite"):
-        predict_proba(m, [0.1, np.nan, 0.2])
-    p = predict_proba(m, X[0])
+        predict_proba(m, [[0.1, np.nan, 0.2]])
+    (p,) = predict_proba(m, X[:1])
     assert 0.0 < p < 1.0
-    assert p == predict_proba_matrix(m, X[:1])[0]
+    assert predict_proba(m, np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 80])
+def test_predict_proba_is_one_dot_per_row(n):
+    X, y = separable(seed=6)
+    m = train(X, y)
+    X = X[:n]
+    probs = predict_proba(m, X)
+    w = np.asarray(m.weights)
+    for i, z in enumerate(m.standardize(X)):
+        assert probs[i] == _sigmoid(np.array([np.dot(z, w) + m.bias]))[0]
+        assert probs[i] == predict_proba(m, X[i : i + 1])[0]
+
+
+def test_solver_stops_at_the_first_flat_step_within_the_floor(monkeypatch):
+    ds, store, annotations = build_routing_world(1600)
+    X, y = build_router_training(ds, store, train_selector(annotations))
+    calls = []
+    hessian = linear_model._hessian
+    monkeypatch.setattr(linear_model, "_hessian", lambda *args: calls.append(1) or hessian(*args))
+    train(X, y)
+    assert 1 <= len(calls) <= 20
 
 
 def test_with_feature_names():
@@ -162,7 +188,7 @@ def test_artifact_round_trip_bitwise(tmp_path):
     assert again.std == m.std
     assert again.constant == m.constant
     probe = np.array([0.3, -1.2, 0.8])
-    assert predict_proba(again, probe) == predict_proba(m, probe)
+    assert predict_proba(again, [probe])[0] == predict_proba(m, [probe])[0]
 
 
 def test_artifact_version_gate(tmp_path):
@@ -189,6 +215,18 @@ def test_failed_save_keeps_the_old_model(tmp_path, monkeypatch):
     monkeypatch.setattr("regime_router.atomic.os.replace", refuse)
     with pytest.raises(OSError, match="disk full"):
         save_model(train(X, 1.0 - y), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_save_rejects_nan_and_keeps_the_old_model(tmp_path):
+    X, y = separable()
+    m = train(X, y)
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_model(dataclasses.replace(m, bias=math.nan), path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 

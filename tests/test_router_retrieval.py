@@ -9,8 +9,6 @@ from regime_router.corpus import Dataset, Passage
 from regime_router.embedding_store import MissingEmbeddingError, VectorStore, text_key
 from regime_router.linear_model import train
 from regime_router.router_retrieval import (
-    ACTION_Q,
-    ACTION_UNION,
     RankedList,
     RoutingConfig,
     build_router_training,
@@ -20,8 +18,8 @@ from regime_router.router_retrieval import (
     recall_at_k,
     route,
 )
-from regime_router.selector import select, select_all, train_selector
-from regime_router.text_analysis import ROUTER_FEATURE_NAMES
+from regime_router.selector import select_all, train_selector
+from regime_router.text_analysis import ROUTER_FEATURE_NAMES, router_features
 
 
 @pytest.fixture(scope="module")
@@ -190,47 +188,47 @@ def test_recall_at_k():
 # route on the constructed world
 
 
+def _routed(ds, queries, selector_model, router_model, cfg=None):
+    """``route`` over the queries' one feature matrix, and their B_rel ("" where the selector abstains)."""
+    pairs = [(ds.passage(q.bridge_id), q.question) for q in queries]
+    selections = select_all(pairs, selector_model)
+    b_rels = ["" if s.abstained else s.chosen[0] for s in selections]
+    X = [router_features(q, b_rel, bridge.body).as_vector() for (bridge, q), b_rel in zip(pairs, b_rels)]
+    return route(X, [bool(b) for b in b_rels], router_model, cfg), b_rels
+
+
 def test_route_actions_split_by_question_type(trained):
     ds, store, selector_model, router_model = trained
     cfg = RoutingConfig()
-    actions = {}
-    selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector_model)
-    for q, selection in zip(ds.queries, selections):
-        decision = route(q, ds.passage(q.bridge_id), selection, router_model, cfg)
-        actions[q.id] = decision
-        assert decision.features is not None
-        assert 0.0 <= decision.p_union <= 1.0
-        assert decision.alpha_used == cfg.alpha
-        assert not decision.fallback
-        assert decision.b_rel
-    comparison = [d for q, d in zip(ds.queries, actions.values()) if q.qtype == "comparison"]
-    compositional = [d for q, d in zip(ds.queries, actions.values()) if q.qtype == "compositional"]
-    assert all(d.action == ACTION_Q for d in comparison)
-    assert all(d.action == ACTION_UNION for d in compositional)
+    (p_union, union, alpha), b_rels = _routed(ds, ds.queries, selector_model, router_model, cfg)
+    assert p_union.shape == union.shape == alpha.shape == (len(ds.queries),)
+    assert np.all((0.0 <= p_union) & (p_union <= 1.0))
+    assert np.all(alpha == cfg.alpha)
+    assert all(b_rels)
+    compositional = np.array([q.qtype == "compositional" for q in ds.queries])
+    assert np.array_equal(union, compositional)
 
 
 def test_route_p_weighted_alpha(trained):
     ds, store, selector_model, router_model = trained
     cfg = RoutingConfig(alpha_mode="p_weighted")
-    q = ds.queries[1]
-    bridge = ds.passage(q.bridge_id)
-    decision = route(q, bridge, select(bridge, q.question, selector_model), router_model, cfg)
-    assert decision.alpha_used == pytest.approx(clip_alpha(decision.p_union))
+    (p_union, _, alpha), _ = _routed(ds, ds.queries[1:2], selector_model, router_model, cfg)
+    assert alpha[0] == pytest.approx(clip_alpha(p_union[0]))
+    assert np.array_equal(clip_alpha(p_union), [clip_alpha(float(p)) for p in p_union])
 
 
 def test_route_fallback_on_abstention(trained):
     ds, store, selector_model, router_model = trained
-    q = ds.queries[0]
-    empty_bridge = Passage(id="hollow", title="Hollow", body="   ")
-    selection = select(empty_bridge, q.question, selector_model)
-    assert selection.abstained
-    decision = route(q, empty_bridge, selection, router_model)
-    assert decision.fallback
-    assert decision.action == ACTION_Q
-    assert decision.p_union == 0.0
-    assert decision.b_rel == ""
-    assert decision.alpha_used == RoutingConfig().alpha
-    assert decision.features is not None
+    q = ds.queries[1]
+    hollow = Passage(id="hollow", title="Hollow", body="   ")
+    ds = Dataset(name="hollow", queries=(dataclasses.replace(q, bridge_id="hollow"), q),
+                 passages={**ds.passages, "hollow": hollow})
+    (p_union, union, alpha), b_rels = _routed(ds, ds.queries, selector_model, router_model)
+    # The abstaining row is forced to Q; the same question with its bridge goes to Union.
+    assert b_rels[0] == "" and b_rels[1]
+    assert p_union[0] == 0.0 and p_union[1] > 0.5
+    assert union.tolist() == [False, True]
+    assert alpha[0] == RoutingConfig().alpha
 
 
 def test_rank_pool_under_both_actions(trained):
@@ -238,26 +236,20 @@ def test_rank_pool_under_both_actions(trained):
     cfg = RoutingConfig()
     comparison = ds.queries[0]
     compositional = ds.queries[1]
+    (_, union, alpha), b_rels = _routed(ds, [comparison, compositional], selector_model, router_model, cfg)
+    assert union.tolist() == [False, True]
 
-    cmp_bridge = ds.passage(comparison.bridge_id)
-    cmp_selection = select(cmp_bridge, comparison.question, selector_model)
-    d_cmp = route(comparison, cmp_bridge, cmp_selection, router_model, cfg)
-    assert d_cmp.action == ACTION_Q
     ranked = rank_pool(store, f"q::{comparison.id}", comparison.pool_ids, cfg.k)
     assert recall_at_k(ranked, comparison.gold_id, cfg.k)
 
-    comp_bridge = ds.passage(compositional.bridge_id)
-    comp_selection = select(comp_bridge, compositional.question, selector_model)
-    d_comp = route(compositional, comp_bridge, comp_selection, router_model, cfg)
-    assert d_comp.action == ACTION_UNION
     ranked_q = rank_pool(store, f"q::{compositional.id}", compositional.pool_ids, cfg.k)
     ranked_u = rank_pool(
         store,
         f"q::{compositional.id}",
         compositional.pool_ids,
         cfg.k,
-        brel_side_id=text_key(d_comp.b_rel),
-        alpha=d_comp.alpha_used,
+        brel_side_id=text_key(b_rels[1]),
+        alpha=alpha[1],
     )
     assert not recall_at_k(ranked_q, compositional.gold_id, cfg.k)
     assert recall_at_k(ranked_u, compositional.gold_id, cfg.k)
