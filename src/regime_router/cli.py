@@ -51,11 +51,11 @@ from .experiments import (
     compute_margins,
     knockout_variants,
     mixture_decomposition,
-    regime_assignment_eval,
     run_ablations,
     run_knockout,
     run_main_eval,
     run_oracle_analysis,
+    run_regime_agreement,
     synthetic_calibration,
     threshold_sweep,
 )
@@ -270,14 +270,12 @@ def enumerate_embedding_ids(ds: Dataset, lex=None) -> list[tuple[str, str, str]]
         out[(question_key(q.id), "query")] = q.question
     for pid, passage in ds.passages.items():
         out[(passage_key(pid), "doc")] = passage.doc_text
-    bridge_ids = {q.bridge_id for q in ds.queries}
-    for bid in sorted(bridge_ids):
-        body = ds.passage(bid).body
+    for body in {ds.passage(q.bridge_id).body for q in ds.queries}:  # each distinct body split once
         out[(text_key(body), "query")] = body
         sents = split_sentences(body, lex)
         for i, sent in enumerate(sents):
             out[(text_key(sent.text), "query")] = sent.text
-            variants = knockout_variants(body, lex, i)
+            variants = knockout_variants(body, sents, i)
             if variants is not None:
                 minus = variants[2]
                 out[(text_key(minus), "query")] = minus
@@ -460,6 +458,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     taus = DEFAULT_SWEEP_TAUS if args.taus is None else _parse_taus(args.taus)
 
     if name == "synthetic-calibration":
+        if not (math.isfinite(args.sigma) and args.sigma > 0 and args.n >= 3 and args.pool_size >= 2):
+            raise UsageError(f"need a finite --sigma > 0, --n >= 3 and --pool-size >= 2; got {args.sigma}, "
+                             f"{args.n} and {args.pool_size}")
         fit = synthetic_calibration(
             n=args.n, pool_size=args.pool_size, sigma=args.sigma, seed=args.seed
         )
@@ -504,8 +505,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             result_json = report.to_json_dict()
             result_json["skipped_degenerate"] = len(margins) - len(usable)
         else:  # regime-agreement
-            margins = compute_margins(ds, store, selector)
-            report = regime_assignment_eval(ds, margins)
+            report = run_regime_agreement(ds, store, selector)
         if name != "mixture":
             result_json = report.to_json_dict()
         csv_payload = report.csv_rows()

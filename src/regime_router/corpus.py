@@ -9,6 +9,9 @@ File layout (one JSON object per line):
 
 A dataset directory holds the first two files; hop-1 ranks are a separate
 optional input used to restrict evaluation to hop-1-correct queries.
+Ids, texts, ``qtype`` and pool ids are JSON strings and a rank a non-bool
+integer, or the load raises a ``DatasetParseError`` naming file, line and
+field. A missing ``title`` is ``""`` and a missing ``qtype`` is ``other``.
 """
 
 from __future__ import annotations
@@ -94,12 +97,17 @@ def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
     return rows
 
 
-def _field(obj: dict, key: str, where: str, default: object = None) -> object:
-    if key in obj:
-        return obj[key]
-    if default is not None:
-        return default
-    raise DatasetParseError(f"{where}: missing field {key!r}")
+_KINDS = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _field(obj: dict, key: str, where: str, default: str | None = None, kind: type = str):
+    """The value at ``key``, of JSON type ``kind`` (a bool is no integer), or ``default`` when absent."""
+    if key not in obj and default is None:
+        raise DatasetParseError(f"{where}: missing field {key!r}")
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        raise DatasetParseError(f"{where}: field {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return value
 
 
 def load_passages(path: Path | str) -> dict[str, Passage]:
@@ -107,15 +115,15 @@ def load_passages(path: Path | str) -> dict[str, Passage]:
     passages: dict[str, Passage] = {}
     for lineno, obj in _read_jsonl(path):
         where = f"{path.name}:{lineno}"
-        pid = str(_field(obj, "id", where))
+        pid = _field(obj, "id", where)
         if not pid:
             raise DatasetParseError(f"{where}: empty passage id")
         if pid in passages:
             raise DatasetParseError(f"{where}: duplicate passage id {pid!r}")
-        body = str(_field(obj, "body", where))
+        body = _field(obj, "body", where)
         if not body:
             raise DatasetParseError(f"{where}: empty body for passage {pid!r}")
-        passages[pid] = Passage(id=pid, title=str(obj.get("title", "")), body=body)
+        passages[pid] = Passage(id=pid, title=_field(obj, "title", where, ""), body=body)
     return passages
 
 
@@ -125,34 +133,33 @@ def load_queries(path: Path | str) -> tuple[Query, ...]:
     seen: set[str] = set()
     for lineno, obj in _read_jsonl(path):
         where = f"{path.name}:{lineno}"
-        qid = str(_field(obj, "id", where))
+        qid = _field(obj, "id", where)
         if not qid:
             raise DatasetParseError(f"{where}: empty query id")
         if qid in seen:
             raise DatasetParseError(f"{where}: duplicate query id {qid!r}")
         seen.add(qid)
-        qtype = str(obj.get("qtype", "other") or "other")
+        qtype = _field(obj, "qtype", where, "other") or "other"
         if qtype not in QTYPES:
             raise DatasetParseError(f"{where}: unknown qtype {qtype!r}")
-        pool_raw = _field(obj, "pool_ids", where)
-        if not isinstance(pool_raw, list):
-            raise DatasetParseError(f"{where}: pool_ids must be a list")
-        pool = tuple(str(p) for p in pool_raw)
+        pool = tuple(_field(obj, "pool_ids", where, kind=list))
+        if set(map(type, pool)) - {str}:
+            raise DatasetParseError(f"{where}: field 'pool_ids' must hold strings, got {json.dumps(pool)}")
         if len(set(pool)) != len(pool):
             raise DatasetParseError(f"{where}: duplicate pool ids in query {qid!r}")
-        bridge_id = str(_field(obj, "bridge_id", where))
-        gold_id = str(_field(obj, "gold_id", where))
+        bridge_id = _field(obj, "bridge_id", where)
+        gold_id = _field(obj, "gold_id", where)
         if bridge_id == gold_id:
             raise DatasetParseError(f"{where}: bridge_id equals gold_id ({gold_id!r})")
         queries.append(
             Query(
                 id=qid,
-                question=str(_field(obj, "question", where)),
+                question=_field(obj, "question", where),
                 qtype=qtype,
                 bridge_id=bridge_id,
                 gold_id=gold_id,
                 pool_ids=pool,
-                hop2_title=str(_field(obj, "hop2_title", where)),
+                hop2_title=_field(obj, "hop2_title", where),
             )
         )
     return tuple(queries)
@@ -219,10 +226,10 @@ def load_hop1_ranks(path: Path | str) -> dict[str, int]:
     ranks: dict[str, int] = {}
     for lineno, obj in _read_jsonl(path):
         where = f"{path.name}:{lineno}"
-        qid = str(_field(obj, "id", where))
-        rank = _field(obj, "rank", where)
-        if not isinstance(rank, int) or rank < 1:
-            raise DatasetParseError(f"{where}: rank must be a positive integer")
+        qid = _field(obj, "id", where)
+        rank = _field(obj, "rank", where, kind=int)
+        if rank < 1:
+            raise DatasetParseError(f"{where}: field 'rank' must be a positive integer, got {rank}")
         ranks[qid] = rank
     return ranks
 

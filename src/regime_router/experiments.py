@@ -10,12 +10,16 @@ score matrices. Decisions come from one ``route`` call over the
 analysis's feature matrix; the oracle routes the feature rows of its
 oracle sentences in one more call. Fused rankings, gold ranks, hits,
 margins and AUCs are whole-matrix reductions, equal bit for bit to
-ranking each pool alone, so results are deterministic. Knockout scores
-its bridge variants over its own subset of the queries.
+ranking each pool alone, so results are deterministic. The oracle,
+knockout and the P2 proxy read each bridge's sentences, and the oracle
+its sentence profiles, from the selections, so no protocol splits a
+bridge again. Knockout scores its bridge variants over its own subset
+of the queries.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,7 +37,7 @@ from .router_retrieval import (
     hits_at_k,
     route,
 )
-from .selector import oracle_label, select_all
+from .selector import select_all
 from .stats import (
     CalibrationFit,
     MarginRecord,
@@ -47,11 +51,12 @@ from .text_analysis import (
     REGIME_Q_DOMINANT,
     ROUTER_FEATURE_NAMES,
     Lexicons,
+    Sentence,
     assign_regime,
     p1_proxy,
-    p2_proxy,
-    router_features,
+    router_row,
     split_sentences,
+    title_sentence,
 )
 
 REGIME_TRANSITION = "transition"
@@ -255,7 +260,10 @@ def compute_margins(
     lex: Lexicons | None = None,
 ) -> list[MarginRecord]:
     """Per-query margins/AUC under the question and the selected sentence."""
-    analysis = analyze(ds, store, selector_model, lex)
+    return _margin_records(ds, analyze(ds, store, selector_model, lex))
+
+
+def _margin_records(ds: Dataset, analysis: Analysis) -> list[MarginRecord]:
     index, (by_q, by_b), has_b = analysis.index, analysis.scores, analysis.has_b_rel
     # A query without distractors, or without a sentence side, reads (margin 0, sigma 0, AUC 0.5) there.
     blank = [[0.0], [0.0], [0.5]]
@@ -296,23 +304,24 @@ def regime_assignment_eval(
     ds: Dataset,
     margins: list[MarginRecord],
     lex: Lexicons | None = None,
+    sentences: Sequence[Sequence[Sentence]] | None = None,
 ) -> RegimeAgreement:
     """Agreement between the P1/P2 proxy regime and the sign of delta-S.
 
-    The proxy's uncovered regime maps to the Q side (its fallback action)
-    for the binary comparison. Queries with degenerate margins or an
-    exactly zero delta are excluded from the agreement count.
+    P2 reads each query's bridge ``sentences`` when given, and splits the
+    bridge otherwise. The proxy's uncovered regime maps to the Q side (its
+    fallback action) for the binary comparison. Queries with degenerate
+    margins or an exactly zero delta are excluded from the agreement count.
     """
     by_id = {m.query_id: m for m in margins}
     proxy_labels: list[str] = []
     observed_labels: list[str] = []
     proxy_counts: dict[str, int] = {}
-    for q in ds.queries:
-        bridge = ds.passage(q.bridge_id)
-        assignment = assign_regime(
-            p1_proxy(q.question, q.hop2_title),
-            p2_proxy(bridge.body, q.hop2_title, lex),
-        )
+    if sentences is None:
+        sentences = [split_sentences(ds.passage(q.bridge_id).body, lex) for q in ds.queries]
+    for q, sents in zip(ds.queries, sentences):
+        p2 = title_sentence(sents, q.hop2_title) is not None
+        assignment = assign_regime(p1_proxy(q.question, q.hop2_title), p2)
         proxy_counts[assignment.regime] = proxy_counts.get(assignment.regime, 0) + 1
         rec = by_id.get(q.id)
         if rec is None or rec.degenerate:
@@ -334,6 +343,14 @@ def regime_assignment_eval(
         kappa=kappa,
         proxy_counts=proxy_counts,
     )
+
+
+def run_regime_agreement(ds: Dataset, store: VectorStore, selector_model: LinearModel,
+                         lex: Lexicons | None = None) -> RegimeAgreement:
+    """``regime_assignment_eval`` over one analysis: its margins and its bridge sentences."""
+    analysis = analyze(ds, store, selector_model, lex)
+    sentences = [s.bridge.sentences for s in analysis.selections]
+    return regime_assignment_eval(ds, _margin_records(ds, analysis), lex, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +475,14 @@ class KnockoutReport:
         return header, [[r.query_id, r.auc_full, r.auc_rel, r.auc_minus] for r in self.records]
 
 
-def knockout_variants(body: str, lex: Lexicons | None = None, selection_index: int | None = None,
+def knockout_variants(body: str, sents: Sequence[Sentence], selection_index: int | None,
                       ) -> tuple[str, str, str] | None:
-    """(full, rel, minus) texts for a bridge body and a sentence index.
+    """(full, rel, minus) texts for a bridge body, its sentences and a sentence index.
 
     minus is the body with the sentence's char span removed and
     whitespace collapsed. Returns None when the body has fewer than two
     sentences (no meaningful minus variant).
     """
-    sents = split_sentences(body, lex)
     if len(sents) < 2 or selection_index is None or not (0 <= selection_index < len(sents)):
         return None
     sent = sents[selection_index]
@@ -498,7 +514,7 @@ def run_knockout(
     """AUC of gold-vs-pool under three bridge variants embedded as queries."""
     selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector_model, lex=lex)
     variants = {
-        i: knockout_variants(ds.passage(q.bridge_id).body, lex, selection.chosen[1])
+        i: knockout_variants(ds.passage(q.bridge_id).body, selection.bridge.sentences, selection.chosen[1])
         for i, (q, selection) in enumerate(zip(ds.queries, selections))
         if not selection.abstained
     }
@@ -578,14 +594,12 @@ def run_oracle_analysis(
     # Per query: the hit under the oracle's relation sentence, routed.
     oracle_hits = np.array([t.hit_routed for t in traces])
     rows, brels, features = [], [], []
-    for i, q in enumerate(ds.queries):
-        bridge = ds.passage(q.bridge_id)
-        idx = oracle_label(bridge, q.hop2_title, lex)
+    for i, (q, s) in enumerate(zip(ds.queries, analysis.selections)):
+        idx = title_sentence(s.bridge.sentences, q.hop2_title)
         if idx is not None:
-            brel = split_sentences(bridge.body, lex)[idx].text
             rows.append(i)
-            brels.append(brel)
-            features.append(router_features(q.question, brel, bridge.body, lex).as_vector())
+            brels.append(s.bridge.sentences[idx].text)
+            features.append(router_row(s.question, s.bridge.profiles[idx], s.bridge.word_count, lex))
     features = np.reshape(features, (len(rows), len(ROUTER_FEATURE_NAMES)))
     _, union, alpha = route(features, np.ones(len(rows), dtype=bool), router_model, cfg)
     oracle_hits[rows] = [traces[i].hit_q for i in rows]

@@ -1,9 +1,10 @@
 """The deployment pipeline: select, featurize, route, fuse, rank.
 
 ``analyze`` is the one pass over a dataset's queries that every protocol
-reduces: one selection batch, each query's relation sentence B_rel, its
-row of router features, the run's ``PoolIndex``, and one (queries x pool)
-score matrix per side.
+reduces: one selection batch, which splits and profiles each distinct
+bridge body and question once, each query's relation sentence B_rel, its
+row of router features read from those profiles, the run's
+``PoolIndex``, and one (queries x pool) score matrix per side.
 
 Per query the pipeline picks one of two actions. Q ranks the candidate
 pool by the question embedding alone; Union ranks by the convex
@@ -31,7 +32,7 @@ from .embedding_store import MODE_DOC, MODE_QUERY, VectorStore, passage_key, que
 from .linear_model import LinearModel, predict_proba
 from .selector import SelectionResult, select_all
 from .stats import pool_margins
-from .text_analysis import ROUTER_FEATURE_NAMES, Lexicons, router_features
+from .text_analysis import ROUTER_FEATURE_NAMES, Lexicons, router_row
 
 ACTION_Q = "Q"
 ACTION_UNION = "Union"
@@ -226,9 +227,10 @@ def hits_at_k(ranks: np.ndarray, k: int) -> np.ndarray:
 class Analysis:
     """One pass over a dataset's queries, in dataset order.
 
-    ``scores`` holds one matrix per side, in ``index``'s columns: the
-    question, B_rel (the question where the selector abstained), then
-    any extra sides.
+    ``selections`` keep each query's bridge sentences and the profiles
+    its router features were read from. ``scores`` holds one matrix per
+    side, in ``index``'s columns: the question, B_rel (the question where
+    the selector abstained), then any extra sides.
     """
 
     selections: tuple[SelectionResult, ...]
@@ -252,8 +254,8 @@ def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, lex: L
     pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
     selections = tuple(select_all(pairs, selector_model, lex=lex))
     b_rels = tuple("" if s.abstained else s.chosen[0] for s in selections)
-    features = np.reshape([router_features(q, b_rel, bridge.body, lex).as_vector()
-                           for (bridge, q), b_rel in zip(pairs, b_rels)], (len(pairs), len(ROUTER_FEATURE_NAMES)))
+    features = np.reshape([router_row(s.question, s.chosen and s.bridge.profiles[s.chosen[1]], s.bridge.word_count, lex)
+                           for s in selections], (len(pairs), len(ROUTER_FEATURE_NAMES)))
     index = PoolIndex.build(store, ds.queries)
     questions = [question_key(q.id) for q in ds.queries]
     sentences = [text_key(b_rel) if b_rel else qid for b_rel, qid in zip(b_rels, questions)]

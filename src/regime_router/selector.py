@@ -3,12 +3,14 @@
 Scores every sentence of a bridge passage with a linear model over
 SentenceFeatures and returns the argmax (lowest index on ties).
 ``select_all`` selects for a whole batch of (bridge, question) pairs with
-one predict call over their stacked sentence rows; ``select`` is a batch
-of one, and every protocol selects all its queries in one batch. A
-sentence's score does not depend on its batch, since ``predict_proba``
-takes one dot product per row. A selection abstains exactly when its
-bridge has no sentence. Oracle labels come from title containment;
-training expands each annotated passage into per-sentence binary rows.
+one predict call over their stacked sentence rows, built from one
+profile per distinct body and question; each result keeps its bridge's
+sentences and profiles. ``select`` is a batch of one, and every protocol
+selects all its queries in one batch. A sentence's score does not
+depend on its batch, since ``predict_proba`` takes one dot product per
+row. A selection abstains exactly when its bridge has no sentence.
+Oracle labels come from title containment; training expands each
+annotated passage into per-sentence binary rows.
 """
 
 from __future__ import annotations
@@ -31,11 +33,15 @@ from .linear_model import (
 )
 from .text_analysis import (
     SENTENCE_FEATURE_NAMES,
+    BridgeProfile,
     Lexicons,
+    TextProfile,
     default_lexicons,
-    normalize_text,
-    sentence_features,
+    profile_bridge,
+    profile_text,
+    sentence_rows,
     split_sentences,
+    title_sentence,
 )
 
 
@@ -46,6 +52,8 @@ class AnnotationError(ValueError):
 @dataclass(frozen=True)
 class SelectionResult:
     chosen: tuple[str, int, float] | None  # (sentence text, index, confidence)
+    bridge: BridgeProfile  # the sentences chosen from, with their profiles
+    question: TextProfile
 
     @property
     def abstained(self) -> bool:
@@ -61,29 +69,28 @@ class AnnotatedBridge:
 
 def oracle_label(bridge: Passage, hop2_title: str, lex: Lexicons | None = None) -> int | None:
     """Lowest index of a sentence containing the normalized title, if any."""
-    title = normalize_text(hop2_title)
-    if not title:
-        return None
-    for i, sent in enumerate(split_sentences(bridge.body, lex)):
-        if title in normalize_text(sent.text):
-            return i
-    return None
+    return title_sentence(split_sentences(bridge.body, lex), hop2_title)
+
+
+def _profiled(pairs, lex: Lexicons) -> list[tuple[BridgeProfile, TextProfile]]:
+    """Each pair's body and question profiles; each distinct text is profiled once."""
+    bodies = {body: profile_bridge(body, lex) for body in {bridge.body for bridge, _ in pairs}}
+    questions = {question: profile_text(question, lex) for question in {question for _, question in pairs}}
+    return [(bodies[bridge.body], questions[question]) for bridge, question in pairs]
 
 
 def _expand(annotated: list[AnnotatedBridge], lex: Lexicons | None) -> tuple[np.ndarray, np.ndarray]:
+    lex = lex or default_lexicons()
     rows: list[list[float]] = []
     labels: list[float] = []
-    for item in annotated:
-        sents = split_sentences(item.bridge.body, lex)
-        if not (0 <= item.gold_sentence_index < len(sents)):
+    for item, (b, q) in zip(annotated, _profiled([(item.bridge, item.question) for item in annotated], lex)):
+        if not (0 <= item.gold_sentence_index < len(b.sentences)):
             raise AnnotationError(
                 f"gold sentence index {item.gold_sentence_index} out of range "
-                f"for bridge {item.bridge.id!r} with {len(sents)} sentences"
+                f"for bridge {item.bridge.id!r} with {len(b.sentences)} sentences"
             )
-        for i, sent in enumerate(sents):
-            feats = sentence_features(sent.text, item.question, i, len(sents), lex)
-            rows.append(feats.as_vector())
-            labels.append(1.0 if i == item.gold_sentence_index else 0.0)
+        rows.extend(sentence_rows(b, q, lex))
+        labels.extend(float(i == item.gold_sentence_index) for i in range(len(b.sentences)))
     return np.asarray(rows, dtype=float), np.asarray(labels, dtype=float)
 
 
@@ -107,28 +114,27 @@ def select_all(
 ) -> list[SelectionResult]:
     """Argmax sentence of every (bridge, question) pair, in one predict call.
 
-    The sentence rows of all pairs are stacked into one matrix; each pair
-    takes the first maximum of its own segment, so the lowest index wins
-    ties. A bridge without sentences abstains.
+    Each distinct body is split and profiled once, and each distinct
+    question once; every result keeps its pair's profiles. The sentence
+    rows of all pairs are stacked into one matrix; each pair takes the
+    first maximum of its own segment, so the lowest index wins ties. A
+    bridge without sentences abstains.
     """
     lex = lex or default_lexicons()
-    splits = [split_sentences(bridge.body, lex) for bridge, _ in pairs]
-    rows = [
-        sentence_features(s.text, question, i, len(sents), lex).as_vector()
-        for (_, question), sents in zip(pairs, splits)
-        for i, s in enumerate(sents)
-    ]
+    profiled = _profiled(pairs, lex)
+    rows = [row for b, q in profiled for row in sentence_rows(b, q, lex)]
     probs = predict_proba(model, rows) if rows else None
     results: list[SelectionResult] = []
     lo = 0
-    for sents in splits:
+    for b, q in profiled:
+        sents = b.sentences
         if not sents:
-            results.append(SelectionResult(None))
+            results.append(SelectionResult(None, b, q))
             continue
         segment = probs[lo : lo + len(sents)]
         lo += len(sents)
         best_i = int(np.argmax(segment))  # the first maximum: lowest index wins ties
-        results.append(SelectionResult((sents[best_i].text, best_i, float(segment[best_i]))))
+        results.append(SelectionResult((sents[best_i].text, best_i, float(segment[best_i])), b, q))
     return results
 
 

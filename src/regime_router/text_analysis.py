@@ -8,25 +8,24 @@ dependency-light by design: no tagger, no learned components.
 Lexicons ship as plain-text config files (one term per line) under
 ``regime_router/data`` and can be overridden per call.
 
-Each text is split and scanned once per process. ``split_sentences``
-jumps between runs of terminal punctuation with one regex and applies
-the boundary rules per run; its result is memoized as a tuple, and each
-call returns a fresh list. One private scan yields a text's word
-surfaces and sentence-initial flags; ``tokenize`` wraps it, and the span
-rules that ``proper_noun_spans`` applies live in one helper. The two
-feature extractors read a memoized profile built from that scan without
-making Token objects: lowercased words, entity surfaces and the count
-of tokens inside entity spans. Both memos are LRU caches keyed on
-(text, Lexicons), so a text under a custom lexicon never shares a split
-or a profile with the default one, and each holds at most 32,768 texts
-(``_MEMO_SIZE``). Memoized values are immutable, so sharing one between
-callers is safe.
+``split_sentences`` jumps between runs of terminal punctuation with one
+regex and applies the boundary rules per run. One private scan yields a
+text's word surfaces and sentence-initial flags; ``tokenize`` wraps it,
+and the span rules of ``proper_noun_spans`` live in one helper. Feature
+rows are read from profiles built without Token objects: lowercased
+words, entity surfaces and the count of tokens inside entity spans.
+``profile_bridge`` splits a body once and profiles each sentence from
+its own words: a sentence splits back to itself, so only its first word
+is sentence-initial. Nothing is memoized; a batch profiles each distinct
+text once and keeps the profiles, and the by-text extractors
+(``sentence_features``, ``router_features``) give the same values.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -35,9 +34,6 @@ from typing import NamedTuple
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _TERMINAL_RUN_RE = re.compile(r"[.?!]+")
-# Distinct texts per memo: a query adds its question, its bridge body and
-# the body's sentences.
-_MEMO_SIZE = 1 << 15
 
 REGIME_Q_DOMINANT = "Q_dominant"
 REGIME_B_DOMINANT = "B_dominant"
@@ -147,13 +143,7 @@ class RouterFeatures:
     b_rel_frac: float
 
     def as_vector(self) -> list[float]:
-        return [
-            float(self.q_comparison_word),
-            float(self.q_ynstart),
-            float(self.q_entity_count),
-            float(self.b_new_entity_count),
-            float(self.b_rel_frac),
-        ]
+        return [float(v) for v in vars(self).values()]
 
 
 @dataclass(frozen=True)
@@ -165,13 +155,7 @@ class SentenceFeatures:
     ne_density: float
 
     def as_vector(self) -> list[float]:
-        return [
-            float(self.new_entity_count),
-            float(self.has_relation_verb),
-            float(self.position_frac),
-            float(self.length_tokens),
-            float(self.ne_density),
-        ]
+        return [float(v) for v in vars(self).values()]
 
 
 def _abbreviation_before(text: str, dot_index: int, abbreviations: frozenset[str]) -> bool:
@@ -187,7 +171,6 @@ def _abbreviation_before(text: str, dot_index: int, abbreviations: frozenset[str
     return word.lower() in abbreviations
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _split(text: str, lex: Lexicons) -> tuple[Sentence, ...]:
     sentences: list[Sentence] = []
     n = len(text)
@@ -230,8 +213,7 @@ def split_sentences(text: str, lex: Lexicons | None = None) -> list[Sentence]:
 
     An abbreviation guard suppresses period boundaries after known
     abbreviations and single-letter initials. Returned spans cover every
-    non-whitespace character exactly once; no sentence is empty. Each
-    call returns a fresh list from the per-process memo.
+    non-whitespace character exactly once; no sentence is empty.
     """
     return list(_split(text, lex or default_lexicons()))
 
@@ -266,15 +248,11 @@ def tokenize(text: str, lex: Lexicons | None = None) -> TokenizedText:
     )
 
 
-def _is_capitalized(surface: str) -> bool:
-    return bool(surface) and surface[0].isupper()
-
-
 def _entity_runs(
     surfaces: list[str], initial: list[bool], stopwords: frozenset[str]
 ) -> list[tuple[int, int]]:
     """The span rules of ``proper_noun_spans``, as inclusive token-index runs."""
-    caps = [_is_capitalized(s) for s in surfaces]
+    caps = [s[:1].isupper() for s in surfaces]  # capitalized; an empty surface is not
     mid_caps = {s for s, c, ini in zip(surfaces, caps, initial) if c and not ini}
     runs: list[tuple[int, int]] = []
     n = len(surfaces)
@@ -329,12 +307,16 @@ def p1_proxy(question: str, hop2_title: str) -> bool:
     return title in normalize_text(question)
 
 
+def title_sentence(sentences: Sequence[Sentence], hop2_title: str) -> int | None:
+    """Lowest index of a sentence containing the normalized title, if any."""
+    title = normalize_text(hop2_title)
+    hits = (i for i, sent in enumerate(sentences) if title in normalize_text(sent.text))
+    return next(hits, None) if title else None
+
+
 def p2_proxy(bridge_body: str, hop2_title: str, lex: Lexicons | None = None) -> bool:
     """True iff some single sentence of the bridge contains the title."""
-    title = normalize_text(hop2_title)
-    if not title:
-        return False
-    return any(title in normalize_text(s.text) for s in split_sentences(bridge_body, lex))
+    return title_sentence(split_sentences(bridge_body, lex), hop2_title) is not None
 
 
 def assign_regime(p1: bool, p2: bool) -> PredicateAssignment:
@@ -348,7 +330,7 @@ def assign_regime(p1: bool, p2: bool) -> PredicateAssignment:
     return PredicateAssignment(p1=p1, p2=p2, regime=regime)
 
 
-class _Profile(NamedTuple):
+class TextProfile(NamedTuple):
     """What the feature extractors read of one text; the token count is len(words)."""
 
     words: tuple[str, ...]  # lowercased token surfaces, in order
@@ -356,65 +338,91 @@ class _Profile(NamedTuple):
     entity_tokens: int  # tokens inside those spans
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _profile(text: str, lex: Lexicons) -> _Profile:
-    surfaces, _, initial = _scan(text, lex)
+class BridgeProfile(NamedTuple):
+    """A bridge body split once: its sentences, their profiles and its word count."""
+
+    sentences: tuple[Sentence, ...]
+    profiles: tuple[TextProfile, ...]
+    word_count: int
+
+
+def _profile_words(surfaces: list[str], initial: list[bool], lex: Lexicons) -> TextProfile:
     runs = _entity_runs(surfaces, initial, lex.span_stopwords)
-    return _Profile(
-        words=tuple(s.lower() for s in surfaces),
+    return TextProfile(
+        words=tuple(map(str.lower, surfaces)),
         entities=frozenset(normalize_text(" ".join(surfaces[i : j + 1])) for i, j in runs),
         entity_tokens=sum(j - i + 1 for i, j in runs),
     )
 
 
-def router_features(
-    question: str,
-    b_rel: str,
-    bridge_body: str,
-    lex: Lexicons | None = None,
-) -> RouterFeatures:
-    """The five router features, all computable from surface text alone."""
+def profile_text(text: str, lex: Lexicons | None = None) -> TextProfile:
+    """The profile of a text of any number of sentences, from one full scan."""
     lex = lex or default_lexicons()
-    q = _profile(question, lex)
-    b = _profile(b_rel, lex)
-    q_comparison = int(any(w in lex.comparison for w in q.words))
-    q_ynstart = int(bool(q.words) and q.words[0] in lex.ynstart)
-    new_count = len(b.entities - q.entities)
+    surfaces, _, initial = _scan(text, lex)
+    return _profile_words(surfaces, initial, lex)
 
+
+def profile_bridge(body: str, lex: Lexicons | None = None) -> BridgeProfile:
+    """Split a body once and profile each sentence from its own words.
+
+    A sentence splits back to itself, so its first word is its only
+    sentence-initial one; no word crosses a sentence boundary.
+    """
+    lex = lex or default_lexicons()
+    sentences = _split(body, lex)
+    words = [_WORD_RE.findall(sent.text) for sent in sentences]
+    profiles = tuple(_profile_words(w, [i == 0 for i in range(len(w))], lex) for w in words)
+    return BridgeProfile(sentences, profiles, sum(map(len, words)))
+
+
+def _router_values(q: TextProfile, b: TextProfile, body_words: int, lex: Lexicons) -> tuple:
     brel_len = len(b.words)
-    # tokenize makes exactly one token per _WORD_RE match.
-    body_len = len(_WORD_RE.findall(bridge_body))
-    frac = 0.0 if brel_len == 0 or body_len == 0 else min(1.0, brel_len / body_len)
-
-    return RouterFeatures(
-        q_comparison_word=q_comparison,
-        q_ynstart=q_ynstart,
-        q_entity_count=len(q.entities),
-        b_new_entity_count=new_count,
-        b_rel_frac=frac,
+    return (
+        int(not lex.comparison.isdisjoint(q.words)),
+        int(bool(q.words) and q.words[0] in lex.ynstart),
+        len(q.entities),
+        len(b.entities - q.entities),
+        0.0 if brel_len == 0 or body_words == 0 else min(1.0, brel_len / body_words),
     )
 
 
-def sentence_features(
-    sent: str,
-    question: str,
-    index: int,
-    total: int,
-    lex: Lexicons | None = None,
-) -> SentenceFeatures:
+def router_row(question: TextProfile, b_rel: TextProfile | None, body_words: int,
+               lex: Lexicons | None = None) -> list[float]:
+    """``router_features(...).as_vector()`` from profiles; None is an empty B_rel."""
+    b_rel = b_rel or TextProfile((), frozenset(), 0)
+    return [float(v) for v in _router_values(question, b_rel, body_words, lex or default_lexicons())]
+
+
+def router_features(question: str, b_rel: str, bridge_body: str, lex: Lexicons | None = None) -> RouterFeatures:
+    """The five router features, all computable from surface text alone."""
+    lex = lex or default_lexicons()
+    # tokenize makes exactly one token per _WORD_RE match.
+    body_words = len(_WORD_RE.findall(bridge_body))
+    return RouterFeatures(*_router_values(profile_text(question, lex), profile_text(b_rel, lex), body_words, lex))
+
+
+def _sentence_values(s: TextProfile, q: TextProfile, index: int, total: int, lex: Lexicons) -> tuple:
+    length = len(s.words)
+    return (
+        len(s.entities - q.entities),
+        int(not lex.relation_verbs.isdisjoint(s.words)),
+        index / max(total - 1, 1),
+        length,
+        0.0 if length == 0 else min(1.0, s.entity_tokens / length),
+    )
+
+
+def sentence_rows(bridge: BridgeProfile, question: TextProfile, lex: Lexicons | None = None) -> list[list[float]]:
+    """``sentence_features(...).as_vector()`` of every sentence of a profiled bridge."""
+    lex = lex or default_lexicons()
+    total = len(bridge.profiles)
+    return [[float(v) for v in _sentence_values(s, question, i, total, lex)] for i, s in enumerate(bridge.profiles)]
+
+
+def sentence_features(sent: str, question: str, index: int, total: int,
+                      lex: Lexicons | None = None) -> SentenceFeatures:
     """The five selector features for one sentence of a bridge passage."""
     if total < 1 or not (0 <= index < total):
         raise ValueError(f"index {index} out of range for total {total}")
     lex = lex or default_lexicons()
-    s = _profile(sent, lex)
-    q = _profile(question, lex)
-
-    length = len(s.words)
-    has_verb = int(any(w in lex.relation_verbs for w in s.words))
-    return SentenceFeatures(
-        new_entity_count=len(s.entities - q.entities),
-        has_relation_verb=has_verb,
-        position_frac=index / max(total - 1, 1),
-        length_tokens=length,
-        ne_density=0.0 if length == 0 else min(1.0, s.entity_tokens / length),
-    )
+    return SentenceFeatures(*_sentence_values(profile_text(sent, lex), profile_text(question, lex), index, total, lex))

@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from regime_router import experiments, router_retrieval
+from regime_router import experiments, router_retrieval, text_analysis
 from regime_router.cli import enumerate_embedding_ids
 from regime_router.corpus import Dataset, Passage, Query
 from regime_router.embedding_store import VectorStore, passage_key, question_key, text_key
@@ -30,6 +30,7 @@ from regime_router.experiments import (
     run_knockout,
     run_main_eval,
     run_oracle_analysis,
+    run_regime_agreement,
     threshold_sweep,
 )
 from regime_router.linear_model import train
@@ -226,7 +227,8 @@ def test_knockout_matches_per_query_reference(parity):
         q, selection = ds.queries[i], selections[i]
         if selection.abstained:
             continue
-        variants = knockout_variants(ds.passage(q.bridge_id).body, None, selection.chosen[1])
+        body = ds.passage(q.bridge_id).body
+        variants = knockout_variants(body, split_sentences(body), selection.chosen[1])
         if variants is not None:
             expected.append(
                 (q.id, *(per_query_auc(*_gold_and_pool(store, text_key(v), q)) for v in variants))
@@ -350,11 +352,25 @@ def test_empty_dataset(parity):
     assert len(build_router_training(empty, store, selector, cfg)[1]) == 0
 
 
+def _count_splits(monkeypatch) -> collections.Counter:
+    """Count every sentence split from now on, by the text split."""
+    splits = collections.Counter()
+    split = text_analysis._split
+
+    def counted(text, lex):
+        splits[text] += 1
+        return split(text, lex)
+
+    monkeypatch.setattr(text_analysis, "_split", counted)
+    return splits
+
+
 PROTOCOLS = {
     "eval": lambda ds, store, sel, rtr, cfg: run_main_eval(ds, store, sel, rtr, cfg),
     "sweep": lambda ds, store, sel, rtr, cfg: threshold_sweep(ds, store, sel, rtr, (0.0, 1.0), cfg),
     "ablations": lambda ds, store, sel, rtr, cfg: run_ablations(ds, store, sel, rtr, cfg),
     "margins": lambda ds, store, sel, rtr, cfg: compute_margins(ds, store, sel),
+    "regime_agreement": lambda ds, store, sel, rtr, cfg: run_regime_agreement(ds, store, sel),
     "router_training": lambda ds, store, sel, rtr, cfg: build_router_training(ds, store, sel, cfg),
     "knockout": lambda ds, store, sel, rtr, cfg: run_knockout(ds, store, sel),
     "oracle": lambda ds, store, sel, rtr, cfg: run_oracle_analysis(ds, store, sel, rtr, cfg),
@@ -379,6 +395,21 @@ def test_each_query_is_analysed_once(parity, monkeypatch, protocol):
     monkeypatch.setattr(router_retrieval, "score_rows", counted("score_rows", router_retrieval.score_rows))
     build = router_retrieval.PoolIndex.build.__func__
     monkeypatch.setattr(router_retrieval.PoolIndex, "build", classmethod(counted("build", build)))
+    splits = _count_splits(monkeypatch)
     PROTOCOLS[protocol](ds, store, selector, router, cfg)
     # The oracle scores its oracle sentences for the queries it routes to Union, a second matrix.
     assert calls == {"select_all": 1, "build": 1, "score_rows": 2 if protocol == "oracle" else 1}
+    # Each distinct bridge body and question is split once; no sentence is split again.
+    texts = {ds.passage(q.bridge_id).body for q in ds.queries} | {q.question for q in ds.queries}
+    assert splits == collections.Counter(texts)
+
+
+def test_embedding_ids_split_each_bridge_once(parity, monkeypatch):
+    ds = parity[0]
+    splits = _count_splits(monkeypatch)
+    ids = enumerate_embedding_ids(ds)
+    assert splits == collections.Counter({ds.passage(q.bridge_id).body for q in ds.queries})
+    # Every sentence and every single-sentence-removed body is listed.
+    assert {text_key(s.text) for q in ds.queries for s in split_sentences(ds.passage(q.bridge_id).body)} <= {
+        sid for sid, _, _ in ids
+    }

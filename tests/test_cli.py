@@ -650,6 +650,32 @@ def test_experiment_synthetic_calibration(tmp_path, capsys):
     assert csv_files[0].read_text(encoding="utf-8").startswith("metric,value")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sigma", "nan"],
+        ["--sigma", "inf"],
+        ["--sigma=-inf"],
+        ["--sigma", "0"],
+        ["--sigma", "-1"],
+        ["--n", "2"],
+        ["--n", "-5"],
+        ["--pool-size", "1"],
+        ["--pool-size", "0"],
+    ],
+)
+def test_synthetic_calibration_rejects_bad_flags(tmp_path, capsys, monkeypatch, flags):
+    def unreachable(**kwargs):
+        raise AssertionError("synthetic_calibration ran")
+
+    monkeypatch.setattr(cli, "synthetic_calibration", unreachable)
+    code = main(["experiment", "synthetic-calibration", *flags, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_requires_dataset_flags(tmp_path):
     code = main(["experiment", "knockout", "--out-dir", str(tmp_path)])
     assert code == EXIT_USAGE

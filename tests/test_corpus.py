@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -185,3 +186,61 @@ def test_load_hop1_ranks_rejects_bad_rank(tmp_path):
     write_jsonl(path, [{"id": "q1", "rank": 0}])
     with pytest.raises(DatasetParseError, match="positive integer"):
         load_hop1_ranks(path)
+
+
+# Each row: the file, the 0-based row whose field is set, the field, its JSON value.
+_BAD_FIELDS = [
+    ("queries.jsonl", 0, "id", None),
+    ("queries.jsonl", 0, "id", 7),
+    ("queries.jsonl", 0, "question", None),
+    ("queries.jsonl", 0, "question", ["Which came first?"]),
+    ("queries.jsonl", 0, "qtype", None),
+    ("queries.jsonl", 0, "qtype", 3),
+    ("queries.jsonl", 0, "bridge_id", 2),
+    ("queries.jsonl", 0, "gold_id", True),
+    ("queries.jsonl", 0, "pool_ids", "p1"),
+    ("queries.jsonl", 0, "pool_ids", None),
+    ("queries.jsonl", 0, "pool_ids", ["p1", 7]),
+    ("queries.jsonl", 0, "pool_ids", ["p1", None]),
+    ("queries.jsonl", 0, "hop2_title", None),
+    ("passages.jsonl", 1, "id", 2),
+    ("passages.jsonl", 1, "title", None),
+    ("passages.jsonl", 1, "title", 1.5),
+    ("passages.jsonl", 1, "body", None),
+    ("hop1_ranks.jsonl", 1, "id", None),
+    ("hop1_ranks.jsonl", 1, "rank", True),
+    ("hop1_ranks.jsonl", 1, "rank", 1.0),
+    ("hop1_ranks.jsonl", 1, "rank", "1"),
+    ("hop1_ranks.jsonl", 1, "rank", None),
+]
+
+
+@pytest.mark.parametrize("name, row, field, value", _BAD_FIELDS)
+def test_fields_of_the_wrong_json_type_are_rejected(tmp_path, capsys, name, row, field, value):
+    from regime_router.cli import EXIT_USAGE, main
+
+    queries, passages = valid_rows()
+    ranks = [{"id": "q0", "rank": 2}, {"id": "q1", "rank": 1}]
+    rows = {"queries.jsonl": queries, "passages.jsonl": passages, "hop1_ranks.jsonl": ranks}[name]
+    rows[row][field] = value
+    root = write_dataset(tmp_path / "data", queries, passages)
+    write_jsonl(tmp_path / "hop1_ranks.jsonl", ranks)
+    where = f"{name}:{row + 1}: field '{field}'"
+    with pytest.raises(DatasetParseError, match=re.escape(where)):
+        if name == "hop1_ranks.jsonl":
+            load_hop1_ranks(tmp_path / "hop1_ranks.jsonl")
+        else:
+            load_dataset(root)
+    # Through the CLI: one parse-error line and the usage exit code.
+    argv = ["ingest", "--dataset", str(root), "--hop1-ranks", str(tmp_path / "hop1_ranks.jsonl")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and where in err and err.count("\n") == 1
+
+
+def test_a_missing_title_is_empty(tmp_path):
+    queries, passages = valid_rows()
+    del passages[0]["title"]
+    ds = load_dataset(write_dataset(tmp_path, queries, passages))
+    assert ds.passage("p1").title == ""
+    assert ds.passage("p1").doc_text == "Alpha body text."

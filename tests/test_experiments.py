@@ -14,6 +14,7 @@ from regime_router.experiments import (
     run_knockout,
     run_main_eval,
     run_oracle_analysis,
+    run_regime_agreement,
     synthetic_calibration,
     threshold_sweep,
     trace_queries,
@@ -21,7 +22,7 @@ from regime_router.experiments import (
 from regime_router.linear_model import train
 from regime_router.router_retrieval import ACTION_Q, ACTION_UNION, RoutingConfig, build_router_training
 from regime_router.selector import AnnotatedBridge, train_selector
-from regime_router.text_analysis import REGIME_B_DOMINANT, REGIME_Q_DOMINANT
+from regime_router.text_analysis import REGIME_B_DOMINANT, REGIME_Q_DOMINANT, split_sentences
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,8 @@ def test_regime_agreement_on_margin_world(margin_models):
     assert result.kappa == pytest.approx(1.0)
     assert result.proxy_counts == {REGIME_Q_DOMINANT: 6, REGIME_B_DOMINANT: 6}
     assert result.to_json_dict()["n_used"] == 12
+    # One analysis, with P2 read off its bridge sentences, gives the same agreement.
+    assert run_regime_agreement(ds, store, selector_model) == result
 
 
 def test_regime_agreement_excludes_degenerate_pools(routing_models):
@@ -172,6 +175,7 @@ def test_regime_agreement_excludes_degenerate_pools(routing_models):
     assert result.agreement == 0.0
     assert result.kappa == 0.0
     assert result.proxy_counts == {REGIME_Q_DOMINANT: 25, REGIME_B_DOMINANT: 25}
+    assert run_regime_agreement(ds, store, selector_model) == result
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +229,15 @@ def test_mixture_rejects_empty():
 
 def test_knockout_variants_shapes():
     body = "First sentence here. Second sentence follows. Third closes."
-    full, rel, minus = knockout_variants(body, selection_index=1)
+    sents = split_sentences(body)
+    full, rel, minus = knockout_variants(body, sents, 1)
     assert full == body
     assert rel == "Second sentence follows."
     assert minus == "First sentence here. Third closes."
-    assert knockout_variants("Only one sentence.", selection_index=0) is None
-    assert knockout_variants(body, selection_index=None) is None
-    assert knockout_variants(body, selection_index=7) is None
+    one = "Only one sentence."
+    assert knockout_variants(one, split_sentences(one), 0) is None
+    assert knockout_variants(body, sents, None) is None
+    assert knockout_variants(body, sents, 7) is None
 
 
 def test_knockout_world_separation(knockout_world, knockout_selector):

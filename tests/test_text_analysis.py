@@ -21,9 +21,13 @@ from regime_router.text_analysis import (
     normalize_text,
     p1_proxy,
     p2_proxy,
+    profile_bridge,
+    profile_text,
     proper_noun_spans,
     router_features,
+    router_row,
     sentence_features,
+    sentence_rows,
     span_surfaces,
     split_sentences,
     tokenize,
@@ -352,7 +356,7 @@ _texts = st.one_of(
 def test_features_match_the_retokenizing_reference(question, b_rel, body, total, data):
     lex = default_lexicons()
     index = data.draw(st.integers(0, total - 1))
-    # Twice each: the second call is served from the profile memo.
+    # Twice each: a call must not change what a later one returns.
     for _ in range(2):
         assert router_features(question, b_rel, body, lex) == reference_router_features(question, b_rel, body, lex)
         assert sentence_features(b_rel, question, index, total, lex) == reference_sentence_features(
@@ -368,9 +372,8 @@ def test_features_match_the_retokenizing_reference(question, b_rel, body, total,
 #
 # The functions below are the character-by-character splitter, the
 # Token-building tokenizer and the span rules as they stood before the
-# shared scan, kept verbatim (renamed) so that the memoized regex
-# splitter and the shared scan are checked against code that shares
-# nothing with them.
+# shared scan, kept verbatim (renamed) so that the regex splitter and
+# the shared scan are checked against code that shares nothing with them.
 
 _REFERENCE_WORD_RE = re.compile(r"\w+", re.UNICODE)
 _REFERENCE_TERMINALS = ".?!"
@@ -517,7 +520,7 @@ def test_split_tokenize_and_spans_match_the_frozen_reference(text, custom):
     want_sents = reference_split_sentences(text, lex)
     want_toks = reference_tokenize(text, lex)
     want_spans = reference_proper_noun_spans(want_toks, lex)
-    # Twice each: the second call is served from the split memo.
+    # Twice each: a call must not change what a later one returns.
     for _ in range(2):
         got = split_sentences(text, lex)
         assert got == want_sents
@@ -537,3 +540,37 @@ def test_split_reference_cases_match():
     ):
         assert split_sentences(text) == reference_split_sentences(text)
         assert tokenize(text) == reference_tokenize(text)
+
+
+# ---------------------------------------------------------------------------
+# Per-body profiles against the by-text extractors
+
+_CUSTOM_LEXICONS = (
+    {"abbreviations": frozenset({"mr", "a", "etc"})},
+    {
+        "comparison": frozenset({"or", "keeper"}),
+        "ynstart": frozenset({"kara", "which"}),
+        "relation_verbs": frozenset({"harbor", "1871"}),
+        "span_stopwords": frozenset({"kara", "the", "new"}),
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_texts, _texts, st.sampled_from((None, *_CUSTOM_LEXICONS)))
+def test_bridge_profiles_match_the_by_text_features(body, question, custom):
+    lex = default_lexicons() if custom is None else Lexicons(**{**vars(default_lexicons()), **custom})
+    sents = split_sentences(body, lex)
+    for s in sents:  # a sentence cut from a body splits back to itself
+        assert split_sentences(s.text, lex) == [Sentence(text=s.text, start=0, end=len(s.text))]
+    bridge = profile_bridge(body, lex)
+    q = profile_text(question, lex)
+    assert list(bridge.sentences) == sents
+    assert bridge.word_count == len(tokenize(body, lex).tokens)
+    rows = sentence_rows(bridge, q, lex)
+    assert len(bridge.profiles) == len(rows) == len(sents)
+    for i, (s, profile, row) in enumerate(zip(sents, bridge.profiles, rows)):
+        assert profile == profile_text(s.text, lex)
+        assert row == sentence_features(s.text, question, i, len(sents), lex).as_vector()
+        assert router_row(q, profile, bridge.word_count, lex) == router_features(question, s.text, body, lex).as_vector()
+    assert router_row(q, None, bridge.word_count, lex) == router_features(question, "", body, lex).as_vector()
