@@ -270,7 +270,8 @@ def enumerate_embedding_ids(ds: Dataset, lex=None) -> list[tuple[str, str, str]]
         out[(question_key(q.id), "query")] = q.question
     for pid, passage in ds.passages.items():
         out[(passage_key(pid), "doc")] = passage.doc_text
-    for body in {ds.passage(q.bridge_id).body for q in ds.queries}:  # each distinct body split once
+    # Each distinct body split once, in first-seen order: a set's order would change with the hash seed.
+    for body in dict.fromkeys(ds.passage(q.bridge_id).body for q in ds.queries):
         out[(text_key(body), "query")] = body
         sents = split_sentences(body, lex)
         for i, sent in enumerate(sents):

@@ -73,9 +73,9 @@ def oracle_label(bridge: Passage, hop2_title: str, lex: Lexicons | None = None) 
 
 
 def _profiled(pairs, lex: Lexicons) -> list[tuple[BridgeProfile, TextProfile]]:
-    """Each pair's body and question profiles; each distinct text is profiled once."""
-    bodies = {body: profile_bridge(body, lex) for body in {bridge.body for bridge, _ in pairs}}
-    questions = {question: profile_text(question, lex) for question in {question for _, question in pairs}}
+    """Each pair's body and question profiles; each distinct text is profiled once, in first-seen order."""
+    bodies = {body: profile_bridge(body, lex) for body in dict.fromkeys(bridge.body for bridge, _ in pairs)}
+    questions = {question: profile_text(question, lex) for question in dict.fromkeys(q for _, q in pairs)}
     return [(bodies[bridge.body], questions[question]) for bridge, question in pairs]
 
 
