@@ -70,7 +70,7 @@ from .linear_model import (
 )
 from .router_retrieval import RoutingConfig, build_router_training
 from .selector import AnnotationError, load_annotations, train_selector
-from .text_analysis import default_lexicons, split_sentences
+from .text_analysis import split_sentences
 
 logger = logging.getLogger("regime_router")
 
@@ -94,7 +94,6 @@ class RunConfig:
     tau: float = 0.5
     alpha_mode: str = "frozen"
     k: int = 5
-    label_mode: str = "strict"
     parallelism: int = 1
     l2_penalty: float = 1.0
     cv_folds: int = 5
@@ -109,13 +108,7 @@ class RunConfig:
     retry_base_delay: float = 0.5
 
     def routing(self) -> RoutingConfig:
-        return RoutingConfig(
-            tau=self.tau,
-            alpha=self.alpha,
-            alpha_mode=self.alpha_mode,
-            k=self.k,
-            label_mode=self.label_mode,
-        )
+        return RoutingConfig(tau=self.tau, alpha=self.alpha, alpha_mode=self.alpha_mode, k=self.k)
 
     def provider(self) -> EmbedProviderConfig:
         return EmbedProviderConfig(
@@ -136,7 +129,6 @@ class RunConfig:
             "tau": self.tau,
             "alpha_mode": self.alpha_mode,
             "k": self.k,
-            "label_mode": self.label_mode,
             "parallelism": self.parallelism,
             "l2_penalty": self.l2_penalty,
             "cv_folds": self.cv_folds,
@@ -152,6 +144,10 @@ class RunConfig:
 # config and the experiment file-name hash keep the values as given.
 _FIELD_TYPES = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
                 "str": ((str,), "a string")}
+
+
+_MINIMUMS = {"cv_folds": 2, "l2_penalty": 0, "parallelism": 1, "batch_size": 1, "max_retries": 0,
+             "retry_base_delay": 0}
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
@@ -180,10 +176,11 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{f.name} must be finite, got {value!r}")
     cfg = RunConfig(**merged)
-    if cfg.cv_folds < 2:
-        raise UsageError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
-    if cfg.l2_penalty < 0:
-        raise UsageError(f"l2_penalty must be >= 0, got {cfg.l2_penalty}")
+    for name, low in _MINIMUMS.items():
+        if getattr(cfg, name) < low:
+            raise UsageError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
+    if cfg.timeout <= 0:
+        raise UsageError(f"timeout must be > 0, got {cfg.timeout}")
     try:
         cfg.routing()
     except ValueError as exc:
@@ -255,7 +252,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # embed
 
 
-def enumerate_embedding_ids(ds: Dataset, lex=None) -> list[tuple[str, str, str]]:
+def enumerate_embedding_ids(ds: Dataset) -> list[tuple[str, str, str]]:
     """(store id, text, mode) for every text any pipeline stage can request.
 
     The enumeration is a superset: all bridge sentences (any selector's
@@ -264,7 +261,6 @@ def enumerate_embedding_ids(ds: Dataset, lex=None) -> list[tuple[str, str, str]]
     eval, ablations, sweeps, oracle analysis, and knockout without a
     second provider pass.
     """
-    lex = lex or default_lexicons()
     out: dict[tuple[str, str], str] = {}
     for q in ds.queries:
         out[(question_key(q.id), "query")] = q.question
@@ -273,7 +269,7 @@ def enumerate_embedding_ids(ds: Dataset, lex=None) -> list[tuple[str, str, str]]
     # Each distinct body split once, in first-seen order: a set's order would change with the hash seed.
     for body in dict.fromkeys(ds.passage(q.bridge_id).body for q in ds.queries):
         out[(text_key(body), "query")] = body
-        sents = split_sentences(body, lex)
+        sents = split_sentences(body)
         for i, sent in enumerate(sents):
             out[(text_key(sent.text), "query")] = sent.text
             variants = knockout_variants(body, sents, i)
@@ -537,7 +533,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, help="routing threshold on p_union")
     p.add_argument("--alpha-mode", dest="alpha_mode", choices=("frozen", "p_weighted"))
     p.add_argument("--k", type=int, help="recall cutoff")
-    p.add_argument("--label-mode", dest="label_mode", choices=("strict", "rank_gain"))
     p.add_argument("--parallelism", type=int, help="concurrent provider requests during embed")
     p.add_argument("--l2-penalty", dest="l2_penalty", type=float)
     p.add_argument("--cv-folds", dest="cv_folds", type=int)

@@ -402,7 +402,7 @@ class EmbeddingClient:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _post_batch(self, inputs: list[str], mode: str) -> list[list[float]]:
+    def _post_batch(self, inputs: list[str], mode: str) -> list[np.ndarray]:
         payload = {"model": self.cfg.model_name, "input": inputs, "mode": mode}
         last_exc: Exception | None = None
         for attempt in range(self.cfg.max_retries + 1):
@@ -418,10 +418,16 @@ class EmbeddingClient:
                 time.sleep(self.cfg.retry_base_delay * (2**attempt))
         else:  # pragma: no cover - loop always breaks or raises
             raise TransportError(str(last_exc))
-        vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(inputs):
-            raise ProviderError(f"provider returned {0 if vectors is None else len(vectors)} vectors for {len(inputs)} inputs")
-        return vectors
+        batch = f"the {mode} batch of {len(inputs)} inputs starting {inputs[0][:40]!r}"
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        if not isinstance(vectors, list):
+            raise ProviderError(f"provider body for {batch} is not a JSON object with a 'vectors' list")
+        if len(vectors) != len(inputs):
+            raise ProviderError(f"provider returned {len(vectors)} vectors for {batch}")
+        try:
+            return [np.asarray(raw, dtype=float).reshape(-1) for raw in vectors]
+        except (TypeError, ValueError):
+            raise ProviderError(f"provider returned a vector that is not a list of numbers for {batch}") from None
 
     def _remember(self, records: list[tuple[bytes, np.ndarray]]) -> None:
         """Cache raw vectors in memory and append the new ones to the file (lock held)."""
@@ -471,8 +477,7 @@ class EmbeddingClient:
         def run(b: int) -> None:
             nonlocal next_batch
             batch = batches[b]
-            vectors = self._post_batch([sent[idxs[0]] for idxs in batch], mode)
-            raws = [np.asarray(raw, dtype=float).reshape(-1) for raw in vectors]
+            raws = self._post_batch([sent[idxs[0]] for idxs in batch], mode)
             dim = expected_dim if expected_dim is not None else raws[0].size
             vecs = [_normalize(raw, dim) for raw in raws]
             with self._lock:

@@ -50,7 +50,6 @@ from .text_analysis import (
     REGIME_B_DOMINANT,
     REGIME_Q_DOMINANT,
     ROUTER_FEATURE_NAMES,
-    Lexicons,
     Sentence,
     assign_regime,
     p1_proxy,
@@ -110,12 +109,11 @@ def _traced(
     selector_model: LinearModel,
     router_model: LinearModel,
     cfg: RoutingConfig,
-    lex: Lexicons | None,
 ) -> tuple[list[QueryTrace], Analysis]:
     """Every query's trace, with the analysis it ranked."""
     if not ds.queries:
         raise ValueError("dataset has no queries")
-    analysis = analyze(ds, store, selector_model, lex)
+    analysis = analyze(ds, store, selector_model)
     index, (s_q, s_b), has_b = analysis.index, analysis.scores, analysis.has_b_rel
     p_union, union, alpha = route(analysis.features, has_b, router_model, cfg)
     fused = np.where(has_b[:, None], fuse_scores(s_q, s_b, alpha[:, None]), s_q)
@@ -140,17 +138,6 @@ def _traced(
         for i, q in enumerate(ds.queries)
     ]
     return traces, analysis
-
-
-def trace_queries(
-    ds: Dataset,
-    store: VectorStore,
-    selector_model: LinearModel,
-    router_model: LinearModel,
-    cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
-) -> list[QueryTrace]:
-    return _traced(ds, store, selector_model, router_model, cfg or RoutingConfig(), lex)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +200,10 @@ def run_main_eval(
     selector_model: LinearModel,
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
 ) -> EvalReport:
     """Q-only versus routed recall@k with discordant-pair significance."""
     cfg = cfg or RoutingConfig()
-    traces, analysis = _traced(ds, store, selector_model, router_model, cfg, lex)
+    traces, analysis = _traced(ds, store, selector_model, router_model, cfg)
     n = len(traces)
     hit_q = sum(t.hit_q for t in traces)
     hit_routed = sum(t.hit_routed for t in traces)
@@ -257,10 +243,9 @@ def compute_margins(
     ds: Dataset,
     store: VectorStore,
     selector_model: LinearModel,
-    lex: Lexicons | None = None,
 ) -> list[MarginRecord]:
     """Per-query margins/AUC under the question and the selected sentence."""
-    return _margin_records(ds, analyze(ds, store, selector_model, lex))
+    return _margin_records(ds, analyze(ds, store, selector_model))
 
 
 def _margin_records(ds: Dataset, analysis: Analysis) -> list[MarginRecord]:
@@ -303,7 +288,6 @@ class RegimeAgreement:
 def regime_assignment_eval(
     ds: Dataset,
     margins: list[MarginRecord],
-    lex: Lexicons | None = None,
     sentences: Sequence[Sequence[Sentence]] | None = None,
 ) -> RegimeAgreement:
     """Agreement between the P1/P2 proxy regime and the sign of delta-S.
@@ -318,7 +302,7 @@ def regime_assignment_eval(
     observed_labels: list[str] = []
     proxy_counts: dict[str, int] = {}
     if sentences is None:
-        sentences = [split_sentences(ds.passage(q.bridge_id).body, lex) for q in ds.queries]
+        sentences = [split_sentences(ds.passage(q.bridge_id).body) for q in ds.queries]
     for q, sents in zip(ds.queries, sentences):
         p2 = title_sentence(sents, q.hop2_title) is not None
         assignment = assign_regime(p1_proxy(q.question, q.hop2_title), p2)
@@ -345,12 +329,11 @@ def regime_assignment_eval(
     )
 
 
-def run_regime_agreement(ds: Dataset, store: VectorStore, selector_model: LinearModel,
-                         lex: Lexicons | None = None) -> RegimeAgreement:
+def run_regime_agreement(ds: Dataset, store: VectorStore, selector_model: LinearModel) -> RegimeAgreement:
     """``regime_assignment_eval`` over one analysis: its margins and its bridge sentences."""
-    analysis = analyze(ds, store, selector_model, lex)
+    analysis = analyze(ds, store, selector_model)
     sentences = [s.bridge.sentences for s in analysis.selections]
-    return regime_assignment_eval(ds, _margin_records(ds, analysis), lex, sentences)
+    return regime_assignment_eval(ds, _margin_records(ds, analysis), sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +492,9 @@ def run_knockout(
     ds: Dataset,
     store: VectorStore,
     selector_model: LinearModel,
-    lex: Lexicons | None = None,
 ) -> KnockoutReport:
     """AUC of gold-vs-pool under three bridge variants embedded as queries."""
-    selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector_model, lex=lex)
+    selections = select_all([(ds.passage(q.bridge_id), q.question) for q in ds.queries], selector_model)
     variants = {
         i: knockout_variants(ds.passage(q.bridge_id).body, selection.bridge.sentences, selection.chosen[1])
         for i, (q, selection) in enumerate(zip(ds.queries, selections))
@@ -581,11 +563,10 @@ def run_oracle_analysis(
     selector_model: LinearModel,
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
 ) -> OracleReport:
     """Gap decomposition against oracle selector and oracle router."""
     cfg = cfg or RoutingConfig()
-    traces, analysis = _traced(ds, store, selector_model, router_model, cfg, lex)
+    traces, analysis = _traced(ds, store, selector_model, router_model, cfg)
     n = len(traces)
     baseline = sum(t.hit_q for t in traces) / n
     learned = sum(t.hit_routed for t in traces) / n
@@ -599,7 +580,7 @@ def run_oracle_analysis(
         if idx is not None:
             rows.append(i)
             brels.append(s.bridge.sentences[idx].text)
-            features.append(router_row(s.question, s.bridge.profiles[idx], s.bridge.word_count, lex))
+            features.append(router_row(s.question, s.bridge.profiles[idx], s.bridge.word_count))
     features = np.reshape(features, (len(rows), len(ROUTER_FEATURE_NAMES)))
     _, union, alpha = route(features, np.ones(len(rows), dtype=bool), router_model, cfg)
     oracle_hits[rows] = [traces[i].hit_q for i in rows]
@@ -650,7 +631,6 @@ def run_ablations(
     selector_model: LinearModel,
     router_model: LinearModel,
     cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
 ) -> AblationReport:
     """The six-condition table: baselines, unrouted fusions, routed, heuristic."""
     cfg = cfg or RoutingConfig()
@@ -660,7 +640,7 @@ def run_ablations(
 
     # Every condition fuses the analysis's matrices. A query whose selector
     # abstains keeps its Q hit under every condition that uses the sentence.
-    analysis = analyze(ds, store, selector_model, lex, [text_key(ds.passage(q.bridge_id).body) for q in ds.queries])
+    analysis = analyze(ds, store, selector_model, [text_key(ds.passage(q.bridge_id).body) for q in ds.queries])
     index, (s_q, s_b, s_body), chosen = analysis.index, analysis.scores, analysis.has_b_rel
     _, union, alpha_used = route(analysis.features, chosen, router_model, cfg)
     column = dict(zip(ROUTER_FEATURE_NAMES, analysis.features.T))
@@ -724,7 +704,6 @@ def threshold_sweep(
     router_model: LinearModel,
     taus=DEFAULT_SWEEP_TAUS,
     cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
 ) -> SweepReport:
     """Recall@k and Union rate as the routing threshold varies.
 
@@ -733,7 +712,7 @@ def threshold_sweep(
     tau > 1 reproduces all-Q bitwise.
     """
     cfg = cfg or RoutingConfig()
-    traces = trace_queries(ds, store, selector_model, router_model, cfg, lex)
+    traces = _traced(ds, store, selector_model, router_model, cfg)[0]
     n = len(traces)
     rows = []
     for tau in taus:
@@ -755,22 +734,20 @@ def synthetic_calibration(
     n: int = 10_000,
     pool_size: int = 200,
     sigma: float = 0.1,
-    margin_spread: float | None = None,
     seed: int = 0,
 ) -> CalibrationFit:
     """Gaussian-pool simulation validating the margin-to-AUC law.
 
-    Per query a gold score is drawn with spread ``margin_spread`` and a
-    pool of Normal(0, sigma) scores; predicted AUC phi(S/sigma) is fit
-    against the empirical AUC. The default spread of 4 * sigma keeps
-    most query pairs separated by more than the 1/pool_size AUC noise
-    floor, so pairwise-order agreement reflects the law, not tie noise.
+    Per query a gold score is drawn from Normal(0, 4 * sigma) and a pool
+    of Normal(0, sigma) scores; predicted AUC phi(S/sigma) is fit against
+    the empirical AUC. The spread of 4 * sigma keeps most query pairs
+    separated by more than the 1/pool_size AUC noise floor, so
+    pairwise-order agreement reflects the law, not tie noise.
     """
     if n < 3 or pool_size < 2:
         raise ValueError("need n >= 3 and pool_size >= 2")
     rng = np.random.default_rng(seed)
-    spread = 4.0 * sigma if margin_spread is None else margin_spread
-    golds = rng.normal(0.0, spread, size=n)
+    golds = rng.normal(0.0, 4.0 * sigma, size=n)
     pools = rng.normal(0.0, sigma, size=(n, pool_size))
 
     mu = pools.mean(axis=1)

@@ -18,7 +18,7 @@ Gold ranks, hits, margins and AUCs are whole-matrix reductions of the
 score matrices; ``rank_pool`` ranks one pool the plain way.
 
 Self-supervised router labels need no human input: label 1 iff Union
-hits recall@k and Q misses.
+at ``cfg.alpha`` hits recall@k and Q misses, the paper's one label rule.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ from .embedding_store import MODE_DOC, MODE_QUERY, VectorStore, passage_key, que
 from .linear_model import LinearModel, predict_proba
 from .selector import SelectionResult, select_all
 from .stats import pool_margins
-from .text_analysis import ROUTER_FEATURE_NAMES, Lexicons, router_row
+from .text_analysis import ROUTER_FEATURE_NAMES, router_row
 
 ACTION_Q = "Q"
 ACTION_UNION = "Union"
 
 ALPHA_MODE_FROZEN = "frozen"
 ALPHA_MODE_P_WEIGHTED = "p_weighted"
-LABEL_MODE_STRICT = "strict"
-LABEL_MODE_RANK_GAIN = "rank_gain"
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class RoutingConfig:
     alpha: float = 0.25
     alpha_mode: str = ALPHA_MODE_FROZEN
     k: int = 5
-    label_mode: str = LABEL_MODE_STRICT
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -58,8 +55,6 @@ class RoutingConfig:
             raise ValueError("tau must lie in [0, 1]")
         if self.alpha_mode not in (ALPHA_MODE_FROZEN, ALPHA_MODE_P_WEIGHTED):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if self.label_mode not in (LABEL_MODE_STRICT, LABEL_MODE_RANK_GAIN):
-            raise ValueError(f"unknown label_mode {self.label_mode!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -244,17 +239,16 @@ class Analysis:
         return np.array([bool(b_rel) for b_rel in self.b_rels], dtype=bool)
 
 
-def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, lex: Lexicons | None = None,
-            *extra_sides) -> Analysis:
+def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, *extra_sides) -> Analysis:
     """Select every query's relation sentence and score its pool under each side.
 
     Each extra side is a list of query-mode text ids, one per query; all
     sides are scored from one gather of each pool.
     """
     pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
-    selections = tuple(select_all(pairs, selector_model, lex=lex))
+    selections = tuple(select_all(pairs, selector_model))
     b_rels = tuple("" if s.abstained else s.chosen[0] for s in selections)
-    features = np.reshape([router_row(s.question, s.chosen and s.bridge.profiles[s.chosen[1]], s.bridge.word_count, lex)
+    features = np.reshape([router_row(s.question, s.chosen and s.bridge.profiles[s.chosen[1]], s.bridge.word_count)
                            for s in selections], (len(pairs), len(ROUTER_FEATURE_NAMES)))
     index = PoolIndex.build(store, ds.queries)
     questions = [question_key(q.id) for q in ds.queries]
@@ -268,22 +262,17 @@ def build_router_training(
     store: VectorStore,
     selector_model: LinearModel,
     cfg: RoutingConfig | None = None,
-    lex: Lexicons | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Router feature matrix and self-supervised labels, in dataset order.
 
-    A label is 1 iff Union at ``cfg.alpha`` strictly improves over Q: it
-    hits recall@k where Q misses (strict), or ranks the gold higher
-    (rank_gain). A query whose selector abstains is labelled 0.
+    A label is 1 iff Union at ``cfg.alpha`` hits recall@k where Q misses.
+    A query whose selector abstains is labelled 0.
     """
     cfg = cfg or RoutingConfig()
-    analysis = analyze(ds, store, selector_model, lex)
+    analysis = analyze(ds, store, selector_model)
     s_q, s_b = analysis.scores
     rank_q = analysis.index.ranks(s_q)
     rank_u = analysis.index.ranks(fuse_scores(s_q, s_b, cfg.alpha))
-    if cfg.label_mode == LABEL_MODE_RANK_GAIN:
-        gain = (rank_u > 0) & ((rank_q == 0) | (rank_u < rank_q))
-    else:
-        gain = hits_at_k(rank_u, cfg.k) & ~hits_at_k(rank_q, cfg.k)
+    gain = hits_at_k(rank_u, cfg.k) & ~hits_at_k(rank_q, cfg.k)
     labels = gain & analysis.has_b_rel
     return analysis.features, labels.astype(float)

@@ -15,18 +15,16 @@ annotated passage into per-sentence binary rows.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Passage
+from .corpus import DatasetParseError, Passage, _field, _read_jsonl
 from .linear_model import (
     LinearModel,
     TrainConfig,
-    fold_bounds,
     predict_proba,
     train,
     with_feature_names,
@@ -34,9 +32,7 @@ from .linear_model import (
 from .text_analysis import (
     SENTENCE_FEATURE_NAMES,
     BridgeProfile,
-    Lexicons,
     TextProfile,
-    default_lexicons,
     profile_bridge,
     profile_text,
     sentence_rows,
@@ -67,51 +63,42 @@ class AnnotatedBridge:
     gold_sentence_index: int
 
 
-def oracle_label(bridge: Passage, hop2_title: str, lex: Lexicons | None = None) -> int | None:
+def oracle_label(bridge: Passage, hop2_title: str) -> int | None:
     """Lowest index of a sentence containing the normalized title, if any."""
-    return title_sentence(split_sentences(bridge.body, lex), hop2_title)
+    return title_sentence(split_sentences(bridge.body), hop2_title)
 
 
-def _profiled(pairs, lex: Lexicons) -> list[tuple[BridgeProfile, TextProfile]]:
+def _profiled(pairs) -> list[tuple[BridgeProfile, TextProfile]]:
     """Each pair's body and question profiles; each distinct text is profiled once, in first-seen order."""
-    bodies = {body: profile_bridge(body, lex) for body in dict.fromkeys(bridge.body for bridge, _ in pairs)}
-    questions = {question: profile_text(question, lex) for question in dict.fromkeys(q for _, q in pairs)}
+    bodies = {body: profile_bridge(body) for body in dict.fromkeys(bridge.body for bridge, _ in pairs)}
+    questions = {question: profile_text(question) for question in dict.fromkeys(q for _, q in pairs)}
     return [(bodies[bridge.body], questions[question]) for bridge, question in pairs]
 
 
-def _expand(annotated: list[AnnotatedBridge], lex: Lexicons | None) -> tuple[np.ndarray, np.ndarray]:
-    lex = lex or default_lexicons()
+def _expand(annotated: list[AnnotatedBridge]) -> tuple[np.ndarray, np.ndarray]:
     rows: list[list[float]] = []
     labels: list[float] = []
-    for item, (b, q) in zip(annotated, _profiled([(item.bridge, item.question) for item in annotated], lex)):
+    for item, (b, q) in zip(annotated, _profiled([(item.bridge, item.question) for item in annotated])):
         if not (0 <= item.gold_sentence_index < len(b.sentences)):
             raise AnnotationError(
                 f"gold sentence index {item.gold_sentence_index} out of range "
                 f"for bridge {item.bridge.id!r} with {len(b.sentences)} sentences"
             )
-        rows.extend(sentence_rows(b, q, lex))
+        rows.extend(sentence_rows(b, q))
         labels.extend(float(i == item.gold_sentence_index) for i in range(len(b.sentences)))
     return np.asarray(rows, dtype=float), np.asarray(labels, dtype=float)
 
 
-def train_selector(
-    annotated: list[AnnotatedBridge],
-    cfg: TrainConfig | None = None,
-    lex: Lexicons | None = None,
-) -> LinearModel:
+def train_selector(annotated: list[AnnotatedBridge], cfg: TrainConfig | None = None) -> LinearModel:
     """Per-sentence binary expansion (gold = 1), then linear_model.train."""
-    X, y = _expand(annotated, lex)
+    X, y = _expand(annotated)
     if X.shape[0] < 2:
         raise AnnotationError("need at least 2 expanded sentence rows")
     model = train(X, y, cfg)
     return with_feature_names(model, SENTENCE_FEATURE_NAMES)
 
 
-def select_all(
-    pairs: Sequence[tuple[Passage, str]],
-    model: LinearModel,
-    lex: Lexicons | None = None,
-) -> list[SelectionResult]:
+def select_all(pairs: Sequence[tuple[Passage, str]], model: LinearModel) -> list[SelectionResult]:
     """Argmax sentence of every (bridge, question) pair, in one predict call.
 
     Each distinct body is split and profiled once, and each distinct
@@ -120,9 +107,8 @@ def select_all(
     first maximum of its own segment, so the lowest index wins ties. A
     bridge without sentences abstains.
     """
-    lex = lex or default_lexicons()
-    profiled = _profiled(pairs, lex)
-    rows = [row for b, q in profiled for row in sentence_rows(b, q, lex)]
+    profiled = _profiled(pairs)
+    rows = [row for b, q in profiled for row in sentence_rows(b, q)]
     probs = predict_proba(model, rows) if rows else None
     results: list[SelectionResult] = []
     lo = 0
@@ -138,50 +124,9 @@ def select_all(
     return results
 
 
-def select(
-    bridge: Passage,
-    question: str,
-    model: LinearModel,
-    lex: Lexicons | None = None,
-) -> SelectionResult:
+def select(bridge: Passage, question: str, model: LinearModel) -> SelectionResult:
     """``select_all`` for one pair."""
-    return select_all([(bridge, question)], model, lex)[0]
-
-
-def selector_accuracy(
-    annotated: list[AnnotatedBridge],
-    model: LinearModel | None = None,
-    k: int = 5,
-    cfg: TrainConfig | None = None,
-    lex: Lexicons | None = None,
-) -> float:
-    """Fraction of passages whose argmax matches the annotated index.
-
-    With an explicit model the given model is scored as-is. Without one,
-    the estimate is out-of-fold: passages are split into contiguous folds
-    and each is scored by a selector trained on the other folds.
-    """
-    if not annotated:
-        raise AnnotationError("no annotated passages")
-    if model is not None:
-        return _argmax_hits(annotated, model, lex) / len(annotated)
-    n = len(annotated)
-    if n < k:
-        raise AnnotationError(f"need at least k={k} annotated passages, got {n}")
-    hits = 0
-    for lo, hi in fold_bounds(n, k):
-        held_out = annotated[lo:hi]
-        rest = annotated[:lo] + annotated[hi:]
-        fold_model = train_selector(rest, cfg, lex)
-        hits += _argmax_hits(held_out, fold_model, lex)
-    return hits / n
-
-
-def _argmax_hits(items: list[AnnotatedBridge], model: LinearModel, lex: Lexicons | None) -> int:
-    results = select_all([(item.bridge, item.question) for item in items], model, lex=lex)
-    return sum(
-        not r.abstained and r.chosen[1] == item.gold_sentence_index for r, item in zip(results, items)
-    )
+    return select_all([(bridge, question)], model)[0]
 
 
 def load_annotations(
@@ -189,30 +134,30 @@ def load_annotations(
     passages: dict[str, Passage],
     questions: dict[str, str],
 ) -> list[AnnotatedBridge]:
-    """Read annotations.jsonl rows {"bridge_id","question_id","gold_sentence_index"}."""
+    """Read annotations.jsonl rows {"bridge_id","question_id","gold_sentence_index"}.
+
+    The ids must be JSON strings and the index a non-bool integer, or the
+    load raises a ``DatasetParseError`` naming file, line and field. A
+    line that is not a JSON object, an unknown id or a negative index
+    raises an ``AnnotationError``.
+    """
+    path = Path(path)
+    try:
+        rows = _read_jsonl(path)
+    except DatasetParseError as exc:
+        raise AnnotationError(str(exc)) from exc
     items: list[AnnotatedBridge] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise AnnotationError(f"{Path(path).name}:{lineno}: invalid JSON ({exc.msg})") from exc
-            bridge_id = str(obj.get("bridge_id", ""))
-            question_id = str(obj.get("question_id", ""))
-            if bridge_id not in passages:
-                raise AnnotationError(f"{Path(path).name}:{lineno}: unknown bridge id {bridge_id!r}")
-            if question_id not in questions:
-                raise AnnotationError(f"{Path(path).name}:{lineno}: unknown question id {question_id!r}")
-            idx = obj.get("gold_sentence_index")
-            if not isinstance(idx, int) or idx < 0:
-                raise AnnotationError(f"{Path(path).name}:{lineno}: bad gold_sentence_index")
-            items.append(
-                AnnotatedBridge(
-                    bridge=passages[bridge_id],
-                    question=questions[question_id],
-                    gold_sentence_index=idx,
-                )
-            )
+    for lineno, obj in rows:
+        where = f"{path.name}:{lineno}"
+        bridge_id = _field(obj, "bridge_id", where)
+        question_id = _field(obj, "question_id", where)
+        idx = _field(obj, "gold_sentence_index", where, kind=int)
+        if bridge_id not in passages:
+            raise AnnotationError(f"{where}: unknown bridge id {bridge_id!r}")
+        if question_id not in questions:
+            raise AnnotationError(f"{where}: unknown question id {question_id!r}")
+        if idx < 0:
+            raise AnnotationError(f"{where}: bad gold_sentence_index {idx}")
+        items.append(AnnotatedBridge(bridge=passages[bridge_id], question=questions[question_id],
+                                     gold_sentence_index=idx))
     return items

@@ -5,8 +5,9 @@ heuristic, the P1/P2 predicate proxies, and feature extraction for the
 router and the sentence selector. Everything here is pure and
 dependency-light by design: no tagger, no learned components.
 
-Lexicons ship as plain-text config files (one term per line) under
-``regime_router/data`` and can be overridden per call.
+Lexicons ship as plain-text files (one term per line) under
+``regime_router/data``; ``default_lexicons`` reads them once, and the
+functions here take an optional ``Lexicons`` in their place.
 
 ``split_sentences`` jumps between runs of terminal punctuation with one
 regex and applies the boundary rules per run. One private scan yields a
@@ -29,7 +30,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -55,11 +55,8 @@ SENTENCE_FEATURE_NAMES = (
 )
 
 
-def _load_terms(name: str, override: Path | str | None = None) -> frozenset[str]:
-    if override is not None:
-        text = Path(override).read_text(encoding="utf-8")
-    else:
-        text = resources.files("regime_router.data").joinpath(name).read_text(encoding="utf-8")
+def _load_terms(name: str) -> frozenset[str]:
+    text = resources.files("regime_router.data").joinpath(name).read_text(encoding="utf-8")
     return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
@@ -73,26 +70,17 @@ class Lexicons:
     span_stopwords: frozenset[str]
     abbreviations: frozenset[str]
 
-    @staticmethod
-    def load(
-        comparison: Path | str | None = None,
-        ynstart: Path | str | None = None,
-        relation_verbs: Path | str | None = None,
-        span_stopwords: Path | str | None = None,
-        abbreviations: Path | str | None = None,
-    ) -> Lexicons:
-        return Lexicons(
-            comparison=_load_terms("comparison_words.txt", comparison),
-            ynstart=_load_terms("ynstart_words.txt", ynstart),
-            relation_verbs=_load_terms("relation_verbs.txt", relation_verbs),
-            span_stopwords=_load_terms("span_stopwords.txt", span_stopwords),
-            abbreviations=_load_terms("abbreviations.txt", abbreviations),
-        )
-
 
 @lru_cache(maxsize=1)
 def default_lexicons() -> Lexicons:
-    return Lexicons.load()
+    """The lexicons shipped under ``regime_router/data``."""
+    return Lexicons(
+        comparison=_load_terms("comparison_words.txt"),
+        ynstart=_load_terms("ynstart_words.txt"),
+        relation_verbs=_load_terms("relation_verbs.txt"),
+        span_stopwords=_load_terms("span_stopwords.txt"),
+        abbreviations=_load_terms("abbreviations.txt"),
+    )
 
 
 @dataclass(frozen=True)

@@ -319,10 +319,8 @@ def test_outputs_do_not_depend_on_the_batch(parity, alpha_mode):
     assert alone == whole
 
 
-@pytest.mark.parametrize("label_mode", ["strict", "rank_gain"])
-def test_router_labels_match_per_query_reference(parity, label_mode):
+def test_router_labels_match_per_query_reference(parity):
     ds, store, selector, _, selections, cfg = parity
-    cfg = dataclasses.replace(cfg, label_mode=label_mode)
     expected = []
     for q, selection in zip(ds.queries, selections):
         if selection.abstained:
@@ -330,11 +328,7 @@ def test_router_labels_match_per_query_reference(parity, label_mode):
             continue
         ranked_q = _ranked(store, q)
         ranked_u = _ranked(store, q, selection.chosen[0], cfg.alpha)
-        if label_mode == "rank_gain":
-            rq, ru = ranked_q.rank_of(q.gold_id), ranked_u.rank_of(q.gold_id)
-            expected.append(float(ru is not None and (rq is None or ru < rq)))
-        else:
-            expected.append(float(recall_at_k(ranked_u, q.gold_id, K) and not recall_at_k(ranked_q, q.gold_id, K)))
+        expected.append(float(recall_at_k(ranked_u, q.gold_id, K) and not recall_at_k(ranked_q, q.gold_id, K)))
     _, y = build_router_training(ds, store, selector, cfg)
     assert y.tolist() == expected
 

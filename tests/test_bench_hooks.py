@@ -1,8 +1,14 @@
-"""The benchmark's trace hooks still find every method they wrap."""
+"""The benchmark's hooks into the program still hold: its trace hooks find
+every method they wrap, and the CLI accepts every command it runs."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from regime_router.cli import EXPERIMENT_NAMES, build_parser, merge_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +24,33 @@ def test_bench_tracer_installs():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``bench/run.py`` as a module; its path entries and sibling modules are dropped afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = sys.modules["bench_run"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in set(sys.modules) - before:
+        del sys.modules[name]
+
+
+def test_bench_commands_parse(bench_run, tmp_path):
+    # Deleting a flag or config value that a bench step passes fails here,
+    # not only when the benchmark runs.
+    argvs = [
+        spec["argv"]
+        for wl in bench_run.WORKLOADS.values()
+        for _, spec in bench_run.round_steps(wl, tmp_path / "world", tmp_path / "round", 1, False)
+        if spec["step"] == "cli"
+    ]
+    assert {argv[0] for argv in argvs} == {"embed", "train", "eval", "experiment"}
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        merge_config(args)
+        if args.command == "experiment":
+            assert args.name in EXPERIMENT_NAMES

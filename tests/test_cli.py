@@ -118,6 +118,10 @@ def test_merge_config_unknown_key(tmp_path):
     cfile.write_text(json.dumps({"tua": 0.7}), encoding="utf-8")
     with pytest.raises(UsageError, match="unknown keys"):
         merge_config(parse(["ingest", "--dataset", "x", "--config", str(cfile)]))
+    # There is one label rule, so label_mode is no config key.
+    cfile.write_text(json.dumps({"label_mode": "strict"}), encoding="utf-8")
+    with pytest.raises(UsageError, match=r"unknown keys \['label_mode'\]"):
+        merge_config(parse(["ingest", "--dataset", "x", "--config", str(cfile)]))
 
 
 def test_merge_config_invalid_json(tmp_path):
@@ -141,7 +145,6 @@ def test_merge_config_validates_ranges():
         ("file", "tau", None),
         ("file", "tau", "0.5"),
         ("file", "alpha", False),
-        ("file", "label_mode", 1),
         ("file", "l2_penalty", "1"),
         ("flag", "tau", "nan"),
         ("flag", "alpha", "inf"),
@@ -152,6 +155,13 @@ def test_merge_config_validates_ranges():
         ("flag", "l2_penalty", "nan"),
         ("flag", "l2_penalty", "-1"),
         ("file", "l2_penalty", -0.5),
+        ("flag", "parallelism", "-3"),
+        ("flag", "parallelism", "0"),
+        ("file", "batch_size", 0),
+        ("file", "batch_size", -1),
+        ("file", "max_retries", -1),
+        ("file", "timeout", 0),
+        ("file", "retry_base_delay", -0.5),
     ],
 )
 def test_bad_config_value_exits_two(world_dir, tmp_path, capsys, source, key, value):
@@ -441,6 +451,42 @@ def test_train_bad_annotation_reference_is_integrity_error(world_dir, tmp_path):
         ]
     )
     assert code == EXIT_INTEGRITY
+
+
+@pytest.mark.parametrize(
+    "field, value, code, message",
+    [
+        ("bridge_id", 7, EXIT_USAGE, "field 'bridge_id' must be a string, got 7"),
+        ("question_id", None, EXIT_USAGE, "field 'question_id' must be a string, got null"),
+        ("gold_sentence_index", True, EXIT_USAGE, "field 'gold_sentence_index' must be an integer, got true"),
+        ("gold_sentence_index", 1.0, EXIT_USAGE, "field 'gold_sentence_index' must be an integer, got 1.0"),
+        ("gold_sentence_index", "one", EXIT_USAGE, "field 'gold_sentence_index' must be an integer"),
+        ("gold_sentence_index", ..., EXIT_USAGE, "missing field 'gold_sentence_index'"),
+        ("bridge_id", "ghost", EXIT_INTEGRITY, "unknown bridge id 'ghost'"),
+        ("question_id", "ghost", EXIT_INTEGRITY, "unknown question id 'ghost'"),
+        ("gold_sentence_index", -1, EXIT_INTEGRITY, "bad gold_sentence_index -1"),
+        ("gold_sentence_index", 99, EXIT_INTEGRITY, "gold sentence index 99 out of range"),
+    ],
+    ids=["bridge-int", "question-null", "index-bool", "index-float", "index-string", "index-missing",
+         "bridge-unknown", "question-unknown", "index-negative", "index-out-of-range"],
+)
+def test_train_annotation_fields(world_dir, routing_world, tmp_path, capsys, field, value, code, message):
+    # A mistyped field is a parse error (2); a well-typed row that names
+    # nothing in the dataset is an integrity error (3).
+    q = routing_world[0].queries[0]
+    row = {"bridge_id": q.bridge_id, "question_id": q.id, "gold_sentence_index": 0}
+    if value is ...:
+        del row[field]
+    else:
+        row[field] = value
+    bad = tmp_path / "ann.jsonl"
+    bad.write_text("\n" + json.dumps(row) + "\n", encoding="utf-8")
+    assert main(["train", "--dataset", str(world_dir / "data"), "--store", str(world_dir / "store.bin"),
+                 "--annotations", str(bad), "--out-dir", str(tmp_path / "m")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    if code == EXIT_USAGE:
+        assert err[0].startswith("parse error: ann.jsonl:2: ")
 
 
 # ---------------------------------------------------------------------------

@@ -476,6 +476,17 @@ def test_count_mismatch_raises_provider_error():
         client.fetch(["a", "b"], "query")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [[1, 2], "vectors", None, {"data": []}, {"vectors": {"0": [1.0]}}, {"vectors": [{"x": 1.0}, [1.0]]}],
+    ids=["list", "string", "null", "no-vectors", "vectors-object", "vector-object"],
+)
+def test_malformed_body_raises_provider_error(body):
+    client = EmbeddingClient(client_config(), transport=lambda url, payload, headers, timeout: body)
+    with pytest.raises(ProviderError, match=r"the query batch of 2 inputs starting 'search_query: a'"):
+        client.fetch(["a", "b"], "query")
+
+
 def test_mixed_dimensions_rejected():
     def lumpy(url, payload, headers, timeout):
         return {"vectors": [[1.0, 0.0], [1.0, 0.0, 0.0]]}

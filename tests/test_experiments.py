@@ -17,7 +17,6 @@ from regime_router.experiments import (
     run_regime_agreement,
     synthetic_calibration,
     threshold_sweep,
-    trace_queries,
 )
 from regime_router.linear_model import train
 from regime_router.router_retrieval import ACTION_Q, ACTION_UNION, RoutingConfig, build_router_training
@@ -46,7 +45,7 @@ def knockout_selector(knockout_world):
 
 def test_trace_fields_and_actions(routing_models):
     ds, store, selector_model, router_model = routing_models
-    traces = trace_queries(ds, store, selector_model, router_model)
+    traces = run_main_eval(ds, store, selector_model, router_model).traces
     assert len(traces) == len(ds.queries)
     for q, t in zip(ds.queries, traces):
         assert t.query_id == q.id
@@ -113,7 +112,7 @@ def test_main_eval_rejects_empty():
         run_main_eval(ds, store, None, None)
 
 
-@pytest.mark.parametrize("protocol", [trace_queries, run_oracle_analysis, threshold_sweep])
+@pytest.mark.parametrize("protocol", [run_oracle_analysis, threshold_sweep])
 def test_traced_protocols_reject_empty(protocol):
     # Every recall rate divides by the query count.
     with pytest.raises(ValueError, match="no queries"):
@@ -372,7 +371,7 @@ def test_threshold_sweep_endpoints_match_forced_policies(routing_models):
     report = threshold_sweep(ds, store, selector_model, router_model, taus=(0.0, 2.0))
     all_union, all_q = report.rows
 
-    traces = trace_queries(ds, store, selector_model, router_model)
+    traces = run_main_eval(ds, store, selector_model, router_model).traces
     forced_union = sum(t.hit_union for t in traces) / len(traces)
     forced_q = sum(t.hit_q for t in traces) / len(traces)
 

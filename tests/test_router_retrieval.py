@@ -118,7 +118,7 @@ def test_routing_config_defaults():
         {"tau": -0.2},
         {"tau": 1.5},
         {"alpha_mode": "adaptive"},
-        {"label_mode": "soft"},
+        {"tau": float("nan")},
         {"k": 0},
     ],
 )
@@ -266,15 +266,6 @@ def test_labels_follow_construction(trained):
         assert label == (1.0 if q.qtype == "compositional" else 0.0)
 
 
-def test_label_rank_gain_mode(trained):
-    ds, store, selector_model, _ = trained
-    _, y = build_router_training(ds, store, selector_model, RoutingConfig(label_mode="rank_gain"))
-    for q, label in zip(ds.queries, y):
-        # Q already ranks a comparison's gold first; fused rank cannot
-        # strictly improve on 1. Union lifts every compositional gold.
-        assert label == (1.0 if q.qtype == "compositional" else 0.0)
-
-
 def test_label_abstention_is_zero(trained):
     ds, store, selector_model, _ = trained
     q = ds.queries[1]
@@ -285,9 +276,8 @@ def test_label_abstention_is_zero(trained):
         queries=(dataclasses.replace(q, bridge_id="hollow"),),
         passages={**ds.passages, "hollow": hollow},
     )
-    for mode in ("strict", "rank_gain"):
-        _, y = build_router_training(abstaining, store, selector_model, RoutingConfig(label_mode=mode))
-        assert y.tolist() == [0.0]
+    _, y = build_router_training(abstaining, store, selector_model)
+    assert y.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

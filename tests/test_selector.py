@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regime_router.corpus import Passage
-from regime_router.linear_model import TrainConfig
 from regime_router.selector import (
     AnnotatedBridge,
     AnnotationError,
@@ -15,7 +14,6 @@ from regime_router.selector import (
     oracle_label,
     select,
     select_all,
-    selector_accuracy,
     train_selector,
 )
 
@@ -158,35 +156,6 @@ def test_train_selector_needs_rows():
 
 
 # ---------------------------------------------------------------------------
-# selector_accuracy
-
-
-def test_accuracy_fixed_model_is_high_on_training_pool():
-    items = annotated_pool()
-    model = train_selector(items)
-    acc = selector_accuracy(items, model=model)
-    assert acc >= 0.9
-
-
-def test_accuracy_out_of_fold_path():
-    items = annotated_pool(25)
-    acc = selector_accuracy(items, k=5, cfg=TrainConfig())
-    assert 0.0 <= acc <= 1.0
-    assert acc >= 0.8  # homogeneous pool generalizes across folds
-
-
-def test_accuracy_requires_enough_for_folds():
-    items = annotated_pool(3)
-    with pytest.raises(AnnotationError, match="at least k"):
-        selector_accuracy(items, k=5)
-
-
-def test_accuracy_empty_pool():
-    with pytest.raises(AnnotationError, match="no annotated"):
-        selector_accuracy([])
-
-
-# ---------------------------------------------------------------------------
 # load_annotations
 
 
@@ -227,8 +196,6 @@ def test_load_annotations_skips_blank_lines(tmp_path):
         ({"bridge_id": "ghost", "question_id": "q1", "gold_sentence_index": 0}, "unknown bridge"),
         ({"bridge_id": "b1", "question_id": "ghost", "gold_sentence_index": 0}, "unknown question"),
         ({"bridge_id": "b1", "question_id": "q1", "gold_sentence_index": -1}, "bad gold_sentence_index"),
-        ({"bridge_id": "b1", "question_id": "q1", "gold_sentence_index": "one"}, "bad gold_sentence_index"),
-        ({"bridge_id": "b1", "question_id": "q1"}, "bad gold_sentence_index"),
     ],
 )
 def test_load_annotations_rejects_bad_rows(tmp_path, row, message):

@@ -259,10 +259,8 @@ def test_feature_ranges_hold_on_arbitrary_text(question, brel):
 # Lexicon overrides
 
 
-def test_lexicon_override(tmp_path):
-    words = tmp_path / "comparison.txt"
-    words.write_text("zorblike\n", encoding="utf-8")
-    lex = Lexicons.load(comparison=words)
+def test_lexicon_override():
+    lex = Lexicons(**{**vars(default_lexicons()), "comparison": frozenset({"zorblike"})})
     f = router_features("Is it zorblike?", "", "Body.", lex)
     assert f.q_comparison_word == 1
     assert router_features("Is it zorblike?", "", "Body.").q_comparison_word == 0
@@ -273,12 +271,10 @@ def test_span_surfaces_normalizes():
     assert "aurora station" in span_surfaces(spans)
 
 
-def test_custom_lexicons_get_their_own_profiles(tmp_path):
-    verbs = tmp_path / "verbs.txt"
-    verbs.write_text("zorbed\n", encoding="utf-8")
-    stops = tmp_path / "stops.txt"
-    stops.write_text("kara\n", encoding="utf-8")
-    custom = Lexicons.load(relation_verbs=verbs, span_stopwords=stops)
+def test_custom_lexicons_get_their_own_profiles():
+    custom = Lexicons(
+        **{**vars(default_lexicons()), "relation_verbs": frozenset({"zorbed"}), "span_stopwords": frozenset({"kara"})}
+    )
     sent = "Kara Voss zorbed the keeper. Kara Voss founded it."
     question = "Who zorbed the keeper?"
     # Same text under each lexicon, in both orders of first use.
