@@ -118,10 +118,6 @@ def test_merge_config_unknown_key(tmp_path):
     cfile.write_text(json.dumps({"tua": 0.7}), encoding="utf-8")
     with pytest.raises(UsageError, match="unknown keys"):
         merge_config(parse(["ingest", "--dataset", "x", "--config", str(cfile)]))
-    # There is one label rule, so label_mode is no config key.
-    cfile.write_text(json.dumps({"label_mode": "strict"}), encoding="utf-8")
-    with pytest.raises(UsageError, match=r"unknown keys \['label_mode'\]"):
-        merge_config(parse(["ingest", "--dataset", "x", "--config", str(cfile)]))
 
 
 def test_merge_config_invalid_json(tmp_path):
@@ -184,6 +180,26 @@ def test_bad_config_value_exits_two(world_dir, tmp_path, capsys, source, key, va
     assert code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key} ")
+    assert not (tmp_path / "models").exists()
+
+
+def test_label_mode_key_exits_two(world_dir, tmp_path, capsys):
+    # There is one label rule, so label_mode is no config key.
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"label_mode": 1}), encoding="utf-8")
+    code = main(
+        [
+            "train",
+            "--dataset", str(world_dir / "data"),
+            "--store", str(world_dir / "store.bin"),
+            "--annotations", str(world_dir / "annotations.jsonl"),
+            "--out-dir", str(tmp_path / "models"),
+            "--config", str(cfile),
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("unknown keys ['label_mode']")
     assert not (tmp_path / "models").exists()
 
 
