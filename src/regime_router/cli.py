@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 runtime failure (provider, training), 2 usage or
 parse error, 3 referential-integrity error. Config precedence is CLI flag
 over config file over built-in default, and every report embeds the
-effective config plus the deployment-rule banner (alpha, tau, alpha_mode).
-Reports are byte-identical across reruns when --deterministic is set.
+effective config. Reports are byte-identical across reruns when
+--deterministic is set.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ from .embedding_store import (
 )
 from .experiments import (
     DEFAULT_SWEEP_TAUS,
-    compute_margins,
     knockout_variants,
-    mixture_decomposition,
     run_ablations,
     run_knockout,
     run_main_eval,
+    run_mixture,
     run_oracle_analysis,
     run_regime_agreement,
     synthetic_calibration,
@@ -135,9 +134,6 @@ class RunConfig:
             "model_name": self.model_name,
         }
 
-    def banner(self) -> dict:
-        return {"alpha": self.alpha, "tau": self.tau, "alpha_mode": self.alpha_mode}
-
 
 # The JSON types each annotated field type accepts; a bool, an int to
 # Python, is refused apart. Ints are not coerced to floats: the effective
@@ -208,6 +204,13 @@ def _apply_hop1_filter(ds: Dataset, args: argparse.Namespace, k: int) -> Dataset
     return filtered
 
 
+def _load_inputs(args: argparse.Namespace, cfg: RunConfig, routes: bool) -> tuple:
+    """(dataset, store, selector), and the router when ``routes``, for eval and the dataset experiments."""
+    ds = _apply_hop1_filter(_load_dataset(args.dataset), args, cfg.k)
+    inputs = (ds, load_vectors(args.store), load_model(args.selector_model))
+    return (*inputs, load_model(args.router_model)) if routes else inputs
+
+
 # Artifacts are written to a temporary file renamed over the old one, so a
 # failed run never leaves a torn artifact behind, and a NaN fails the run.
 def _write_json(path: Path, payload: dict) -> None:
@@ -226,6 +229,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _config_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:8]
+
+
+def _stamped(payload: dict, cfg: RunConfig, args: argparse.Namespace) -> dict:
+    """``payload`` with the effective config and, unless --deterministic, the time of the run."""
+    payload["effective_config"] = cfg.to_dict()
+    if not args.deterministic:
+        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +387,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
-def _load_eval_inputs(args: argparse.Namespace, cfg: RunConfig):
-    ds = _load_dataset(args.dataset)
-    ds = _apply_hop1_filter(ds, args, cfg.k)
-    store = load_vectors(args.store)
-    selector = load_model(args.selector_model)
-    router = load_model(args.router_model)
-    return ds, store, selector, router
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    ds, store, selector, router = _load_eval_inputs(args, cfg)
+    ds, store, selector, router = _load_inputs(args, cfg, routes=True)
     report = run_main_eval(ds, store, selector, router, cfg.routing())
-    payload = report.to_json_dict()
-    payload["effective_config"] = cfg.to_dict()
-    payload["deployment_rule"] = cfg.banner()
-    if not args.deterministic:
-        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
 
+    # The trace is the per-query record. Its rows are encoded before any
+    # file is replaced, so a NaN anywhere leaves the old artifacts in place.
+    trace = [json.dumps(t.to_json_dict(), sort_keys=True, allow_nan=False) + "\n" for t in report.traces]
     out_dir = Path(args.out_dir)
     report_path = out_dir / f"eval_{ds.name}.json"
-    _write_json(report_path, payload)
-    trace_path = out_dir / f"eval_{ds.name}_trace.jsonl"
-    with atomic_write(trace_path, encoding="utf-8") as fh:
-        for row in payload["per_query"]:
-            fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
-    header, rows = report.csv_rows()
-    _write_csv(out_dir / f"eval_{ds.name}.csv", header, rows)
+    _write_json(report_path, _stamped(report.to_json_dict(), cfg, args))
+    with atomic_write(out_dir / f"eval_{ds.name}_trace.jsonl", encoding="utf-8") as fh:
+        fh.writelines(trace)
+    _write_csv(out_dir / f"eval_{ds.name}.csv", *report.csv_rows())
 
     print(f"report: {report_path}")
     print(
@@ -418,15 +415,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # experiment
 
 
-EXPERIMENT_NAMES = (
-    "knockout",
-    "oracle",
-    "ablations",
-    "threshold-sweep",
-    "mixture",
-    "regime-agreement",
-    "synthetic-calibration",
-)
+# Each dataset protocol: whether it routes, and so needs --router-model, and
+# its call on the loaded inputs, the routing config and the sweep thresholds.
+DATASET_PROTOCOLS = {
+    "knockout": (False, lambda inputs, routing, taus: run_knockout(*inputs)),
+    "oracle": (True, lambda inputs, routing, taus: run_oracle_analysis(*inputs, routing)),
+    "ablations": (True, lambda inputs, routing, taus: run_ablations(*inputs, routing)),
+    "threshold-sweep": (True, lambda inputs, routing, taus: threshold_sweep(*inputs, taus, routing)),
+    "mixture": (False, lambda inputs, routing, taus: run_mixture(*inputs)),
+    "regime-agreement": (False, lambda inputs, routing, taus: run_regime_agreement(*inputs)),
+}
+EXPERIMENT_NAMES = (*DATASET_PROTOCOLS, "synthetic-calibration")
 
 
 def _parse_taus(text: str) -> tuple[float, ...]:
@@ -447,77 +446,33 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     name = args.name
     if name not in EXPERIMENT_NAMES:
-        print(
-            f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
     taus = DEFAULT_SWEEP_TAUS if args.taus is None else _parse_taus(args.taus)
 
     if name == "synthetic-calibration":
         if not (math.isfinite(args.sigma) and args.sigma > 0 and args.n >= 3 and args.pool_size >= 2):
             raise UsageError(f"need a finite --sigma > 0, --n >= 3 and --pool-size >= 2; got {args.sigma}, "
                              f"{args.n} and {args.pool_size}")
-        fit = synthetic_calibration(
-            n=args.n, pool_size=args.pool_size, sigma=args.sigma, seed=args.seed
-        )
+        fit = synthetic_calibration(n=args.n, pool_size=args.pool_size, sigma=args.sigma, seed=args.seed)
         result_json = asdict(fit)
-        csv_payload = (
-            ["metric", "value"],
-            [
-                ["r_squared", fit.r_squared],
-                ["inversion_accuracy", fit.inversion_accuracy],
-                ["n", fit.n],
-            ],
-        )
+        csv_payload = (["metric", "value"], [[k, result_json[k]] for k in ("r_squared", "inversion_accuracy", "n")])
         ds_name = "synthetic"
     else:
-        if not args.dataset or not args.store or not args.selector_model:
-            raise UsageError(f"experiment {name!r} needs --dataset, --store, --selector-model")
-        ds = _load_dataset(args.dataset)
-        ds = _apply_hop1_filter(ds, args, cfg.k)
-        store = load_vectors(args.store)
-        selector = load_model(args.selector_model)
-        router = None
-        if name in ("oracle", "ablations", "threshold-sweep"):
-            if not args.router_model:
-                raise UsageError(f"experiment {name!r} needs --router-model")
-            router = load_model(args.router_model)
-
-        if name == "knockout":
-            report = run_knockout(ds, store, selector)
-        elif name == "oracle":
-            report = run_oracle_analysis(ds, store, selector, router, cfg.routing())
-        elif name == "ablations":
-            report = run_ablations(ds, store, selector, router, cfg.routing())
-        elif name == "threshold-sweep":
-            report = threshold_sweep(ds, store, selector, router, taus, cfg.routing())
-        elif name == "mixture":
-            margins = compute_margins(ds, store, selector)
-            usable = [m for m in margins if not m.degenerate]
-            by_id = {q.id: q.qtype for q in ds.queries}
-            report = mixture_decomposition(
-                [(by_id[m.query_id], m.auc_q, m.auc_b) for m in usable]
-            )
-            result_json = report.to_json_dict()
-            result_json["skipped_degenerate"] = len(margins) - len(usable)
-        else:  # regime-agreement
-            report = run_regime_agreement(ds, store, selector)
-        if name != "mixture":
-            result_json = report.to_json_dict()
+        routes, protocol = DATASET_PROTOCOLS[name]
+        if not (args.dataset and args.store and args.selector_model and (args.router_model or not routes)):
+            flags = "--dataset, --store, --selector-model" + (", --router-model" if routes else "")
+            raise UsageError(f"experiment {name!r} needs {flags}")
+        inputs = _load_inputs(args, cfg, routes)
+        report = protocol(inputs, cfg.routing(), taus)
+        result_json = report.to_json_dict()
         csv_payload = report.csv_rows()
-        ds_name = ds.name
+        ds_name = inputs[0].name
 
     result_json["experiment"] = name
-    result_json["effective_config"] = cfg.to_dict()
-    result_json["deployment_rule"] = cfg.banner()
-    if not args.deterministic:
-        result_json["generated_at"] = datetime.now(timezone.utc).isoformat()
-
     stem = f"{name.replace('-', '_')}_{ds_name}_{_config_hash(cfg.to_dict())}"
     out_dir = Path(args.out_dir)
     json_path = out_dir / f"{stem}.json"
-    _write_json(json_path, result_json)
+    _write_json(json_path, _stamped(result_json, cfg, args))
     _write_csv(out_dir / f"{stem}.csv", *csv_payload)
     print(f"report: {json_path}")
     return EXIT_OK

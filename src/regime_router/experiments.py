@@ -20,7 +20,7 @@ of the queries.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .text_analysis import (
     assign_regime,
     p1_proxy,
     router_row,
-    split_sentences,
     title_sentence,
 )
 
@@ -148,7 +147,6 @@ def _traced(
 class EvalReport:
     dataset: str
     n: int
-    config: dict
     q_only_r_at_k: float
     routed_r_at_k: float
     delta: float
@@ -164,7 +162,6 @@ class EvalReport:
         return {
             "dataset": self.dataset,
             "n": self.n,
-            "config": self.config,
             "q_only_r_at_k": self.q_only_r_at_k,
             "routed_r_at_k": self.routed_r_at_k,
             "delta": self.delta,
@@ -174,7 +171,6 @@ class EvalReport:
             "union_rate": self.union_rate,
             "fallback_count": self.fallback_count,
             "calibration": self.calibration,
-            "per_query": [t.to_json_dict() for t in self.traces],
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
@@ -221,7 +217,6 @@ def run_main_eval(
     return EvalReport(
         dataset=ds.name,
         n=n,
-        config=asdict(cfg),
         q_only_r_at_k=hit_q / n,
         routed_r_at_k=hit_routed / n,
         delta=(hit_routed - hit_q) / n,
@@ -288,21 +283,19 @@ class RegimeAgreement:
 def regime_assignment_eval(
     ds: Dataset,
     margins: list[MarginRecord],
-    sentences: Sequence[Sequence[Sentence]] | None = None,
+    sentences: Sequence[Sequence[Sentence]],
 ) -> RegimeAgreement:
     """Agreement between the P1/P2 proxy regime and the sign of delta-S.
 
-    P2 reads each query's bridge ``sentences`` when given, and splits the
-    bridge otherwise. The proxy's uncovered regime maps to the Q side (its
-    fallback action) for the binary comparison. Queries with degenerate
-    margins or an exactly zero delta are excluded from the agreement count.
+    P2 reads each query's bridge ``sentences``. The proxy's uncovered
+    regime maps to the Q side (its fallback action) for the binary
+    comparison. Queries with degenerate margins or an exactly zero delta
+    are excluded from the agreement count.
     """
     by_id = {m.query_id: m for m in margins}
     proxy_labels: list[str] = []
     observed_labels: list[str] = []
     proxy_counts: dict[str, int] = {}
-    if sentences is None:
-        sentences = [split_sentences(ds.passage(q.bridge_id).body) for q in ds.queries]
     for q, sents in zip(ds.queries, sentences):
         p2 = title_sentence(sents, q.hop2_title) is not None
         assignment = assign_regime(p1_proxy(q.question, q.hop2_title), p2)
@@ -353,6 +346,7 @@ class RegimeTable:
     rows: tuple[RegimeRow, ...]
     aggregate_q_minus_b_weighted: float
     aggregate_q_minus_b_micro: float
+    skipped_degenerate: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,6 +363,7 @@ class RegimeTable:
                 "q_minus_b_weighted": self.aggregate_q_minus_b_weighted,
                 "q_minus_b_micro": self.aggregate_q_minus_b_micro,
             },
+            "skipped_degenerate": self.skipped_degenerate,
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
@@ -407,6 +402,13 @@ def mixture_decomposition(per_query: list[tuple[str, float, float]]) -> RegimeTa
         aggregate_q_minus_b_weighted=weighted,
         aggregate_q_minus_b_micro=micro,
     )
+
+
+def run_mixture(ds: Dataset, store: VectorStore, selector_model: LinearModel) -> RegimeTable:
+    """``mixture_decomposition`` of the non-degenerate margins, counting the ones it drops."""
+    margins = compute_margins(ds, store, selector_model)
+    usable = [(q.qtype, m.auc_q, m.auc_b) for q, m in zip(ds.queries, margins) if not m.degenerate]
+    return replace(mixture_decomposition(usable), skipped_degenerate=len(margins) - len(usable))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DatasetParseError, Passage, _field, _read_jsonl
+from .corpus import Passage, _field, _read_jsonl
 from .linear_model import (
     LinearModel,
     TrainConfig,
@@ -136,18 +136,14 @@ def load_annotations(
 ) -> list[AnnotatedBridge]:
     """Read annotations.jsonl rows {"bridge_id","question_id","gold_sentence_index"}.
 
-    The ids must be JSON strings and the index a non-bool integer, or the
-    load raises a ``DatasetParseError`` naming file, line and field. A
-    line that is not a JSON object, an unknown id or a negative index
-    raises an ``AnnotationError``.
+    A line that is not a JSON object, an id that is not a JSON string or
+    an index that is not a non-bool integer raises a ``DatasetParseError``
+    naming file and line. An unknown id or a negative index raises an
+    ``AnnotationError``.
     """
     path = Path(path)
-    try:
-        rows = _read_jsonl(path)
-    except DatasetParseError as exc:
-        raise AnnotationError(str(exc)) from exc
     items: list[AnnotatedBridge] = []
-    for lineno, obj in rows:
+    for lineno, obj in _read_jsonl(path):
         where = f"{path.name}:{lineno}"
         bridge_id = _field(obj, "bridge_id", where)
         question_id = _field(obj, "question_id", where)

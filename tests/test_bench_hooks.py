@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from regime_router.cli import EXPERIMENT_NAMES, build_parser, merge_config
+from regime_router.cli import DATASET_PROTOCOLS, EXPERIMENT_NAMES, build_parser, merge_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +49,8 @@ def test_bench_commands_parse(bench_run, tmp_path):
         if spec["step"] == "cli"
     ]
     assert {argv[0] for argv in argvs} == {"embed", "train", "eval", "experiment"}
+    # The benchmark runs every dataset protocol of the CLI's table, and no other.
+    assert tuple(DATASET_PROTOCOLS) == bench_run.DATASET_EXPERIMENTS
     for argv in argvs:
         args = build_parser().parse_args(argv)
         merge_config(args)

@@ -505,6 +505,21 @@ def test_train_annotation_fields(world_dir, routing_world, tmp_path, capsys, fie
         assert err[0].startswith("parse error: ann.jsonl:2: ")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("{not json}", "invalid JSON"), ("[1]", "expected a JSON object")],
+    ids=["invalid-json", "not-object"],
+)
+def test_train_annotation_bad_line_is_parse_error(world_dir, tmp_path, capsys, line, message):
+    # The same line in queries.jsonl exits 2 under ingest; annotations agree.
+    bad = tmp_path / "ann.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    assert main(["train", "--dataset", str(world_dir / "data"), "--store", str(world_dir / "store.bin"),
+                 "--annotations", str(bad), "--out-dir", str(tmp_path / "m")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"parse error: ann.jsonl:1: {message}")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -529,8 +544,8 @@ def test_eval_writes_report_trace_csv(world_dir, trained_dir, tmp_path, capsys):
     assert payload["n"] == 50
     assert payload["q_only_r_at_k"] == pytest.approx(0.5)
     assert payload["routed_r_at_k"] == pytest.approx(1.0)
-    assert payload["deployment_rule"] == {"alpha": 0.25, "tau": 0.5, "alpha_mode": "frozen"}
-    assert payload["effective_config"]["k"] == 5
+    rule = {key: payload["effective_config"][key] for key in ("alpha", "tau", "alpha_mode", "k")}
+    assert rule == {"alpha": 0.25, "tau": 0.5, "alpha_mode": "frozen", "k": 5}
     assert "generated_at" in payload
 
     trace_lines = (out / "eval_data_trace.jsonl").read_text(encoding="utf-8").splitlines()
@@ -551,6 +566,35 @@ def test_eval_writes_report_trace_csv(world_dir, trained_dir, tmp_path, capsys):
         assert [float(v) for v in row[10:]] == [trace["features"][name] for name in ROUTER_FEATURE_NAMES]
 
     assert "q_only=0.5000 routed=1.0000" in capsys.readouterr().out
+
+
+def test_eval_writes_each_fact_once(world_dir, trained_dir, tmp_path):
+    # The report holds the aggregates and the effective config; the trace is
+    # the per-query record, and the CSV is its table.
+    out = tmp_path / "eval"
+    assert main(eval_args(world_dir, trained_dir, out, "--deterministic")) == EXIT_OK
+    payload = json.loads((out / "eval_data.json").read_text(encoding="utf-8"))
+    assert not {"per_query", "config", "deployment_rule"} & set(payload)
+    lines = (out / "eval_data_trace.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    n = len(rows)
+    assert payload["n"] == n == 50
+    assert payload["wins"] == sum(r["hit_routed"] and not r["hit_q"] for r in rows)
+    assert payload["losses"] == sum(r["hit_q"] and not r["hit_routed"] for r in rows)
+    assert payload["q_only_r_at_k"] == sum(r["hit_q"] for r in rows) / n
+    assert payload["routed_r_at_k"] == sum(r["hit_routed"] for r in rows) / n
+    assert payload["union_rate"] == sum(r["action"] == "Union" for r in rows) / n
+    assert payload["fallback_count"] == sum(r["fallback"] for r in rows)
+
+    with open(out / "eval_data.csv", newline="", encoding="utf-8") as fh:
+        header, *table = csv.reader(fh)
+    for values, row in zip(table, rows, strict=True):
+        record = dict(zip(header, values))
+        assert record["query_id"] == row["query_id"]
+        for rank in ("rank_gold_q", "rank_gold_union"):
+            assert record[rank] == ("" if row[rank] is None else str(row[rank]))
+        for hit in ("hit_q", "hit_union", "hit_routed"):
+            assert record[hit] == str(int(row[hit]))
 
 
 def test_eval_deterministic_is_byte_identical(world_dir, trained_dir, tmp_path):
@@ -706,7 +750,7 @@ def test_experiment_synthetic_calibration(tmp_path, capsys):
     assert 0.0 <= payload["r_squared"] <= 1.0
     assert payload["n"] == 500
     assert payload["experiment"] == "synthetic-calibration"
-    assert payload["deployment_rule"]["tau"] == 0.5
+    assert payload["effective_config"]["tau"] == 0.5
     assert "generated_at" not in payload
     csv_files = list(tmp_path.glob("synthetic_calibration_synthetic_*.csv"))
     assert csv_files[0].read_text(encoding="utf-8").startswith("metric,value")
@@ -752,6 +796,29 @@ def assert_rerun_identical(argv, rerun_dir):
     assert len(written) == 2 and sorted(p.name for p in rerun_dir.iterdir()) == written
     for name in written:
         assert (first / name).read_bytes() == (rerun_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", list(cli.DATASET_PROTOCOLS))
+def test_experiment_needs_router_model_exactly_when_it_routes(
+    world_dir, trained_dir, margin_dir, tmp_path, capsys, name
+):
+    routes = cli.DATASET_PROTOCOLS[name][0]
+    assert routes == (name in ("oracle", "ablations", "threshold-sweep"))
+    if routes:
+        # Nothing exists at these paths: the flag is checked before any load.
+        data, store, selector = (tmp_path / "missing" / f for f in ("data", "store.bin", "selector.json"))
+    elif name == "mixture":
+        # The routing world's constant pools leave mixture no margin to decompose.
+        data, store, selector = margin_dir / "data", margin_dir / "store.bin", margin_dir / "selector.json"
+    else:
+        data, store, selector = world_dir / "data", world_dir / "store.bin", trained_dir / "selector.json"
+    code = main(["experiment", name, "--dataset", str(data), "--store", str(store),
+                 "--selector-model", str(selector), "--out-dir", str(tmp_path / "out"), "--deterministic"])
+    err = capsys.readouterr().err
+    assert code == (EXIT_USAGE if routes else EXIT_OK)
+    assert ("--router-model" in err) == routes
+    if routes:
+        assert err == f"error: experiment {name!r} needs --dataset, --store, --selector-model, --router-model\n"
 
 
 @pytest.mark.parametrize("name", ["oracle", "ablations", "threshold-sweep"])

@@ -13,6 +13,7 @@ from regime_router.experiments import (
     run_ablations,
     run_knockout,
     run_main_eval,
+    run_mixture,
     run_oracle_analysis,
     run_regime_agreement,
     synthetic_calibration,
@@ -98,8 +99,7 @@ def test_main_eval_numbers(routing_models):
     assert 0.0 <= report.mcnemar_p["p_exact"] < 1e-6
     assert report.calibration is not None
     assert report.calibration["n"] == 50
-    payload = report.to_json_dict()
-    assert len(payload["per_query"]) == 50
+    assert len(report.traces) == 50
     header, rows = report.csv_rows()
     assert header[0] == "query_id"
     assert len(rows) == 50
@@ -148,10 +148,15 @@ def test_compute_margins_signs(margin_models):
             assert rec.auc_b == 1.0
 
 
+def bridge_sentences(ds):
+    """Each query's bridge split on its own: the reference for the analysis's sentences."""
+    return [split_sentences(ds.passage(q.bridge_id).body) for q in ds.queries]
+
+
 def test_regime_agreement_on_margin_world(margin_models):
     ds, store, selector_model = margin_models
     margins = compute_margins(ds, store, selector_model)
-    result = regime_assignment_eval(ds, margins)
+    result = regime_assignment_eval(ds, margins, bridge_sentences(ds))
     assert result.n_total == 12
     assert result.n_used == 12
     assert result.agreement == pytest.approx(1.0)
@@ -168,7 +173,7 @@ def test_regime_agreement_excludes_degenerate_pools(routing_models):
     # Every routing-world pool repeats one distractor vector, so every
     # record is degenerate and the agreement count is empty.
     assert all(m.degenerate for m in margins)
-    result = regime_assignment_eval(ds, margins)
+    result = regime_assignment_eval(ds, margins, bridge_sentences(ds))
     assert result.n_total == 50
     assert result.n_used == 0
     assert result.agreement == 0.0
@@ -215,6 +220,18 @@ def test_mixture_identity_weighted_equals_micro():
     table = mixture_decomposition(rows)
     assert abs(table.aggregate_q_minus_b_weighted - table.aggregate_q_minus_b_micro) < 1e-12
     assert sum(r.prevalence for r in table.rows) == pytest.approx(1.0)
+
+
+def test_run_mixture_drops_degenerate_margins(margin_models, routing_models):
+    ds, store, selector_model = margin_models
+    margins = compute_margins(ds, store, selector_model)
+    table = run_mixture(ds, store, selector_model)
+    assert table.skipped_degenerate == 0
+    assert table.to_json_dict()["skipped_degenerate"] == 0
+    assert table.rows == mixture_decomposition([(q.qtype, m.auc_q, m.auc_b) for q, m in zip(ds.queries, margins)]).rows
+    # Every routing-world margin is degenerate, so nothing is left to decompose.
+    with pytest.raises(ValueError, match="at least one query"):
+        run_mixture(*routing_models[:3])
 
 
 def test_mixture_rejects_empty():

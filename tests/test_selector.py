@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regime_router.corpus import Passage
+from regime_router.corpus import DatasetParseError, Passage
 from regime_router.selector import (
     AnnotatedBridge,
     AnnotationError,
@@ -208,7 +208,8 @@ def test_load_annotations_rejects_bad_rows(tmp_path, row, message):
 
 
 def test_load_annotations_invalid_json(tmp_path):
+    # A line that does not parse is a parse error, as in queries.jsonl.
     path = tmp_path / "ann.jsonl"
     path.write_text("{not json}\n", encoding="utf-8")
-    with pytest.raises(AnnotationError, match="invalid JSON"):
+    with pytest.raises(DatasetParseError, match="ann.jsonl:1: invalid JSON"):
         load_annotations(path, {}, {})
