@@ -346,6 +346,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_cfg = TrainConfig(l2_penalty=cfg.l2_penalty)
+    profiles: dict = {}  # selector training and router labels profile each text once between them
 
     if args.selector_model:
         selector = load_model(args.selector_model)
@@ -358,12 +359,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         annotated = load_annotations(
             args.annotations, ds.passages, {q.id: q.question for q in ds.queries}
         )
-        selector = train_selector(annotated, train_cfg)
+        selector = train_selector(annotated, train_cfg, profiles)
         selector_source = f"annotations:{args.annotations} ({len(annotated)} bridges)"
     selector_path = out_dir / "selector.json"
     save_model(selector, selector_path)
 
-    X, y = build_router_training(ds, store, selector, cfg.routing())
+    X, y = build_router_training(ds, store, selector, cfg.routing(), profiles)
     result = cross_fit(X, y, k=cfg.cv_folds, cfg=train_cfg)
     router_path = out_dir / "router.json"
     save_model(result.full_model, router_path)

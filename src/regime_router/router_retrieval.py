@@ -2,7 +2,8 @@
 
 ``analyze`` is the one pass over a dataset's queries that every protocol
 reduces: one selection batch, which splits and profiles each distinct
-bridge body and question once, each query's relation sentence B_rel, its
+bridge body and question once (``train`` shares its profiles with
+selector training), each query's relation sentence B_rel, its
 row of router features read from those profiles, the run's
 ``PoolIndex``, and one (queries x pool) score matrix per side.
 
@@ -239,14 +240,16 @@ class Analysis:
         return np.array([bool(b_rel) for b_rel in self.b_rels], dtype=bool)
 
 
-def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, *extra_sides) -> Analysis:
+def analyze(ds: Dataset, store: VectorStore, selector_model: LinearModel, *extra_sides,
+            profiles: dict | None = None) -> Analysis:
     """Select every query's relation sentence and score its pool under each side.
 
     Each extra side is a list of query-mode text ids, one per query; all
-    sides are scored from one gather of each pool.
+    sides are scored from one gather of each pool. ``profiles`` is passed
+    on to ``select_all``.
     """
     pairs = [(ds.passage(q.bridge_id), q.question) for q in ds.queries]
-    selections = tuple(select_all(pairs, selector_model))
+    selections = tuple(select_all(pairs, selector_model, profiles))
     b_rels = tuple("" if s.abstained else s.chosen[0] for s in selections)
     features = np.reshape([router_row(s.question, s.chosen and s.bridge.profiles[s.chosen[1]], s.bridge.word_count)
                            for s in selections], (len(pairs), len(ROUTER_FEATURE_NAMES)))
@@ -262,14 +265,16 @@ def build_router_training(
     store: VectorStore,
     selector_model: LinearModel,
     cfg: RoutingConfig | None = None,
+    profiles: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Router feature matrix and self-supervised labels, in dataset order.
 
     A label is 1 iff Union at ``cfg.alpha`` hits recall@k where Q misses.
-    A query whose selector abstains is labelled 0.
+    A query whose selector abstains is labelled 0. ``profiles`` is passed
+    on to ``analyze``.
     """
     cfg = cfg or RoutingConfig()
-    analysis = analyze(ds, store, selector_model)
+    analysis = analyze(ds, store, selector_model, profiles=profiles)
     s_q, s_b = analysis.scores
     rank_q = analysis.index.ranks(s_q)
     rank_u = analysis.index.ranks(fuse_scores(s_q, s_b, cfg.alpha))

@@ -5,10 +5,13 @@ SentenceFeatures and returns the argmax (lowest index on ties).
 ``select_all`` selects for a whole batch of (bridge, question) pairs with
 one predict call over their stacked sentence rows, built from one
 profile per distinct body and question; each result keeps its bridge's
-sentences and profiles. ``select`` is a batch of one, and every protocol
-selects all its queries in one batch. A sentence's score does not
-depend on its batch, since ``predict_proba`` takes one dot product per
-row. A selection abstains exactly when its bridge has no sentence.
+sentences and profiles. Batches that share a text-to-profile mapping
+profile each text once between them: ``train`` passes one to selector
+training and to the selection behind its router labels. ``select`` is a
+batch of one, and every protocol selects all its queries in one batch.
+A sentence's score does not depend on its batch, since ``predict_proba``
+takes one dot product per row. A selection abstains exactly when its
+bridge has no sentence.
 Oracle labels come from title containment; training expands each
 annotated passage into per-sentence binary rows.
 """
@@ -68,17 +71,25 @@ def oracle_label(bridge: Passage, hop2_title: str) -> int | None:
     return title_sentence(split_sentences(bridge.body), hop2_title)
 
 
-def _profiled(pairs) -> list[tuple[BridgeProfile, TextProfile]]:
-    """Each pair's body and question profiles; each distinct text is profiled once, in first-seen order."""
-    bodies = {body: profile_bridge(body) for body in dict.fromkeys(bridge.body for bridge, _ in pairs)}
-    questions = {question: profile_text(question) for question in dict.fromkeys(q for _, q in pairs)}
-    return [(bodies[bridge.body], questions[question]) for bridge, question in pairs]
+def _profiled(pairs, profiles: dict | None = None) -> list[tuple[BridgeProfile, TextProfile]]:
+    """Each pair's body and question profiles, read from ``profiles`` and filled into it.
+
+    ``profiles`` maps (profiler, text) to a profile; each text it lacks is
+    profiled once, bodies then questions, in first-seen order. Without
+    it the batch profiles into a fresh mapping of its own.
+    """
+    profiles = {} if profiles is None else profiles
+    for fn, texts in ((profile_bridge, (b.body for b, _ in pairs)), (profile_text, (q for _, q in pairs))):
+        for text in texts:
+            if (fn, text) not in profiles:
+                profiles[fn, text] = fn(text)
+    return [(profiles[profile_bridge, bridge.body], profiles[profile_text, question]) for bridge, question in pairs]
 
 
-def _expand(annotated: list[AnnotatedBridge]) -> tuple[np.ndarray, np.ndarray]:
+def _expand(annotated: list[AnnotatedBridge], profiles: dict | None) -> tuple[np.ndarray, np.ndarray]:
     rows: list[list[float]] = []
     labels: list[float] = []
-    for item, (b, q) in zip(annotated, _profiled([(item.bridge, item.question) for item in annotated])):
+    for item, (b, q) in zip(annotated, _profiled([(item.bridge, item.question) for item in annotated], profiles)):
         if not (0 <= item.gold_sentence_index < len(b.sentences)):
             raise AnnotationError(
                 f"gold sentence index {item.gold_sentence_index} out of range "
@@ -89,25 +100,33 @@ def _expand(annotated: list[AnnotatedBridge]) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows, dtype=float), np.asarray(labels, dtype=float)
 
 
-def train_selector(annotated: list[AnnotatedBridge], cfg: TrainConfig | None = None) -> LinearModel:
-    """Per-sentence binary expansion (gold = 1), then linear_model.train."""
-    X, y = _expand(annotated)
+def train_selector(
+    annotated: list[AnnotatedBridge], cfg: TrainConfig | None = None, profiles: dict | None = None
+) -> LinearModel:
+    """Per-sentence binary expansion (gold = 1), then linear_model.train.
+
+    ``profiles`` is a text-to-profile mapping shared with later batches (see ``select_all``).
+    """
+    X, y = _expand(annotated, profiles)
     if X.shape[0] < 2:
         raise AnnotationError("need at least 2 expanded sentence rows")
     model = train(X, y, cfg)
     return with_feature_names(model, SENTENCE_FEATURE_NAMES)
 
 
-def select_all(pairs: Sequence[tuple[Passage, str]], model: LinearModel) -> list[SelectionResult]:
+def select_all(
+    pairs: Sequence[tuple[Passage, str]], model: LinearModel, profiles: dict | None = None
+) -> list[SelectionResult]:
     """Argmax sentence of every (bridge, question) pair, in one predict call.
 
     Each distinct body is split and profiled once, and each distinct
-    question once; every result keeps its pair's profiles. The sentence
-    rows of all pairs are stacked into one matrix; each pair takes the
-    first maximum of its own segment, so the lowest index wins ties. A
-    bridge without sentences abstains.
+    question once; every result keeps its pair's profiles. A caller that
+    passes one ``profiles`` mapping to several batches profiles each text
+    once across them all. The sentence rows of all pairs are stacked into
+    one matrix; each pair takes the first maximum of its own segment, so
+    the lowest index wins ties. A bridge without sentences abstains.
     """
-    profiled = _profiled(pairs)
+    profiled = _profiled(pairs, profiles)
     rows = [row for b, q in profiled for row in sentence_rows(b, q)]
     probs = predict_proba(model, rows) if rows else None
     results: list[SelectionResult] = []

@@ -17,16 +17,19 @@ rows are read from profiles built without Token objects: lowercased
 words, entity surfaces and the count of tokens inside entity spans.
 ``profile_bridge`` splits a body once and profiles each sentence from
 its own words: a sentence splits back to itself, so only its first word
-is sentence-initial. Nothing is memoized; a batch profiles each distinct
-text once and keeps the profiles, and the by-text extractors
-(``sentence_features``, ``router_features``) give the same values.
+is sentence-initial, and that word is a lone initial unless it recurs.
+A sentence's profile lowercases its words once, steps between its
+capitalized words and joins lowercased words into entity surfaces.
+Nothing is memoized; a batch profiles each distinct text once and keeps
+the profiles, and the by-text extractors (``sentence_features``,
+``router_features``) give the same values.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -164,13 +167,12 @@ def _split(text: str, lex: Lexicons) -> tuple[Sentence, ...]:
     n = len(text)
 
     def emit(seg_start: int, seg_end: int) -> None:
-        lo, hi = seg_start, seg_end
-        while lo < hi and text[lo].isspace():
-            lo += 1
-        while hi > lo and text[hi - 1].isspace():
-            hi -= 1
-        if lo < hi:
-            sentences.append(Sentence(text=text[lo:hi], start=lo, end=hi))
+        # str.lstrip and str.rstrip strip exactly the characters for which isspace() holds.
+        seg = text[seg_start:seg_end].lstrip()
+        lo = seg_end - len(seg)
+        seg = seg.rstrip()
+        if seg:
+            sentences.append(Sentence(text=seg, start=lo, end=lo + len(seg)))
 
     start = 0
     for run in _TERMINAL_RUN_RE.finditer(text):
@@ -206,8 +208,8 @@ def split_sentences(text: str, lex: Lexicons | None = None) -> list[Sentence]:
     return list(_split(text, lex or default_lexicons()))
 
 
-def _scan(text: str, lex: Lexicons) -> tuple[list[str], list[int], list[bool]]:
-    """Word surfaces, their start offsets and sentence-initial flags.
+def _scan(text: str, lex: Lexicons) -> tuple[list[str], list[int], set[int]]:
+    """Word surfaces, their start offsets and the indices of sentence-initial words.
 
     A word is sentence-initial when it is the first word at or after the
     start of some sentence.
@@ -217,12 +219,8 @@ def _scan(text: str, lex: Lexicons) -> tuple[list[str], list[int], list[bool]]:
     for m in _WORD_RE.finditer(text):
         surfaces.append(m.group())
         starts.append(m.start())
-    initial = [False] * len(starts)
-    for sent in _split(text, lex):
-        i = bisect_left(starts, sent.start)
-        if i < len(starts):
-            initial[i] = True
-    return surfaces, starts, initial
+    n = len(starts)
+    return surfaces, starts, {i for sent in _split(text, lex) if (i := bisect_left(starts, sent.start)) < n}
 
 
 def tokenize(text: str, lex: Lexicons | None = None) -> TokenizedText:
@@ -230,32 +228,33 @@ def tokenize(text: str, lex: Lexicons | None = None) -> TokenizedText:
     surfaces, starts, initial = _scan(text, lex or default_lexicons())
     return TokenizedText(
         tokens=tuple(
-            Token(surface, start, start + len(surface), ini)
-            for surface, start, ini in zip(surfaces, starts, initial)
+            Token(surface, start, start + len(surface), k in initial)
+            for k, (surface, start) in enumerate(zip(surfaces, starts))
         )
     )
 
 
-def _entity_runs(
-    surfaces: list[str], initial: list[bool], stopwords: frozenset[str]
-) -> list[tuple[int, int]]:
-    """The span rules of ``proper_noun_spans``, as inclusive token-index runs."""
+def _entity_runs(surfaces: list[str], words: Sequence[str], stopwords: frozenset[str],
+                 initial: Container[int], later: Container[str]) -> list[tuple[int, int]]:
+    """The span rules of ``proper_noun_spans``, as half-open token-index runs.
+
+    ``words`` are the lowercased surfaces, ``initial`` holds the indices of
+    the sentence-initial words and ``later`` the surfaces at the other
+    indices. The loop jumps between capitalized words.
+    """
     caps = [s[:1].isupper() for s in surfaces]  # capitalized; an empty surface is not
-    mid_caps = {s for s, c, ini in zip(surfaces, caps, initial) if c and not ini}
+    n = len(caps)
+    caps += (False, True)  # sentinels: every run ends by n, and no run starts past it
     runs: list[tuple[int, int]] = []
-    n = len(surfaces)
-    i = 0
+    i = caps.index(True)
     while i < n:
-        if not caps[i] or surfaces[i].lower() in stopwords:
-            i += 1
+        if words[i] in stopwords:
+            i = caps.index(True, i + 1)
             continue
-        j = i
-        while j + 1 < n and caps[j + 1]:
-            j += 1
-        lone_initial = initial[i] and j == i and surfaces[i] not in mid_caps
-        if not lone_initial:
+        j = caps.index(False, i)  # one past the run
+        if j > i + 1 or i not in initial or surfaces[i] in later:  # else a lone sentence-initial word
             runs.append((i, j))
-        i = j + 1
+        i = caps.index(True, j)
     return runs
 
 
@@ -270,10 +269,11 @@ def proper_noun_spans(t: TokenizedText, lex: Lexicons | None = None) -> list[Ent
     """
     lex = lex or default_lexicons()
     surfaces = [tok.surface for tok in t.tokens]
-    initial = [tok.sentence_initial for tok in t.tokens]
+    initial = {k for k, tok in enumerate(t.tokens) if tok.sentence_initial}
+    later = {s for k, s in enumerate(surfaces) if k not in initial}
     return [
-        EntitySpan(first_token=i, last_token=j, surface=" ".join(surfaces[i : j + 1]))
-        for i, j in _entity_runs(surfaces, initial, lex.span_stopwords)
+        EntitySpan(first_token=i, last_token=j - 1, surface=" ".join(surfaces[i:j]))
+        for i, j in _entity_runs(surfaces, [s.lower() for s in surfaces], lex.span_stopwords, initial, later)
     ]
 
 
@@ -334,32 +334,36 @@ class BridgeProfile(NamedTuple):
     word_count: int
 
 
-def _profile_words(surfaces: list[str], initial: list[bool], lex: Lexicons) -> TextProfile:
-    runs = _entity_runs(surfaces, initial, lex.span_stopwords)
-    return TextProfile(
-        words=tuple(map(str.lower, surfaces)),
-        entities=frozenset(normalize_text(" ".join(surfaces[i : j + 1])) for i, j in runs),
-        entity_tokens=sum(j - i + 1 for i, j in runs),
-    )
+def _profile(surfaces: list[str], stopwords: frozenset[str],
+             initial: Container[int], later: Container[str]) -> TextProfile:
+    """The profile of a text's words; ``initial`` and ``later`` as for ``_entity_runs``.
+
+    Each word is lowercased once, and an entity's surface is the join of
+    its lowercased words, which equals its ``normalize_text``.
+    """
+    words = tuple(map(str.lower, surfaces))
+    runs = _entity_runs(surfaces, words, stopwords, initial, later)
+    return TextProfile(words, frozenset(" ".join(words[i:j]) for i, j in runs), sum(j - i for i, j in runs))
 
 
 def profile_text(text: str, lex: Lexicons | None = None) -> TextProfile:
     """The profile of a text of any number of sentences, from one full scan."""
     lex = lex or default_lexicons()
     surfaces, _, initial = _scan(text, lex)
-    return _profile_words(surfaces, initial, lex)
+    return _profile(surfaces, lex.span_stopwords, initial, {s for k, s in enumerate(surfaces) if k not in initial})
 
 
 def profile_bridge(body: str, lex: Lexicons | None = None) -> BridgeProfile:
     """Split a body once and profile each sentence from its own words.
 
     A sentence splits back to itself, so its first word is its only
-    sentence-initial one; no word crosses a sentence boundary.
+    sentence-initial one and the rest are its ``later`` words; no word
+    crosses a sentence boundary.
     """
     lex = lex or default_lexicons()
     sentences = _split(body, lex)
     words = [_WORD_RE.findall(sent.text) for sent in sentences]
-    profiles = tuple(_profile_words(w, [i == 0 for i in range(len(w))], lex) for w in words)
+    profiles = tuple(_profile(w, lex.span_stopwords, (0,), w[1:]) for w in words)
     return BridgeProfile(sentences, profiles, sum(map(len, words)))
 
 

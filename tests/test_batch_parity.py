@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from regime_router import experiments, router_retrieval, text_analysis
-from regime_router.cli import enumerate_embedding_ids
-from regime_router.corpus import Dataset, Passage, Query
-from regime_router.embedding_store import VectorStore, passage_key, question_key, text_key
+from regime_router.cli import EXIT_OK, enumerate_embedding_ids, main
+from regime_router.corpus import Dataset, Passage, Query, save_dataset
+from regime_router.embedding_store import VectorStore, passage_key, question_key, save_vectors, text_key
 from regime_router.experiments import (
     compute_margins,
     knockout_variants,
@@ -394,6 +395,29 @@ def test_each_query_is_analysed_once(parity, monkeypatch, protocol):
     # The oracle scores its oracle sentences for the queries it routes to Union, a second matrix.
     assert calls == {"select_all": 1, "build": 1, "score_rows": 2 if protocol == "oracle" else 1}
     # Each distinct bridge body and question is split once; no sentence is split again.
+    texts = {ds.passage(q.bridge_id).body for q in ds.queries} | {q.question for q in ds.queries}
+    assert splits == collections.Counter(texts)
+
+
+def test_train_splits_each_text_once(routing_world, tmp_path, monkeypatch):
+    # Selector training and router labels share one batch of profiles: each
+    # distinct body and question is split once by the whole command.
+    ds, store, annotations = routing_world
+    save_dataset(ds, tmp_path / "data")
+    save_vectors(store, tmp_path / "store.bin")
+    annotated = ds.queries[: len(ds.queries) // 2]  # router labels cover more queries than selector training
+    (tmp_path / "annotations.jsonl").write_text(
+        "".join(
+            json.dumps({"bridge_id": q.bridge_id, "question_id": q.id, "gold_sentence_index": ann.gold_sentence_index})
+            + "\n"
+            for q, ann in zip(annotated, annotations)
+        ),
+        encoding="utf-8",
+    )
+    splits = _count_splits(monkeypatch)
+    argv = ["train", "--dataset", str(tmp_path / "data"), "--store", str(tmp_path / "store.bin"),
+            "--annotations", str(tmp_path / "annotations.jsonl"), "--out-dir", str(tmp_path / "models")]
+    assert main(argv) == EXIT_OK
     texts = {ds.passage(q.bridge_id).body for q in ds.queries} | {q.question for q in ds.queries}
     assert splits == collections.Counter(texts)
 

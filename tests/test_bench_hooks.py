@@ -2,6 +2,7 @@
 every method they wrap, and the CLI accepts every command it runs."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,11 @@ def test_bench_tracer_installs():
 
 @pytest.fixture
 def bench_run(monkeypatch):
-    """``bench/run.py`` as a module; its path entries and sibling modules are dropped afterwards."""
+    """``bench/run.py`` as a module; its path entries and the modules loaded from ``bench/`` are dropped afterwards.
+
+    Other modules that it imports first (numpy submodules, say) stay
+    loaded, since some of them cannot be loaded twice in one process.
+    """
     monkeypatch.setattr(sys, "path", list(sys.path))
     before = set(sys.modules)
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
@@ -36,7 +41,9 @@ def bench_run(monkeypatch):
     spec.loader.exec_module(module)
     yield module
     for name in set(sys.modules) - before:
-        del sys.modules[name]
+        path = getattr(sys.modules[name], "__file__", None)
+        if name == "bench_run" or (path and Path(path).resolve().parent == ROOT / "bench"):
+            del sys.modules[name]
 
 
 def test_bench_commands_parse(bench_run, tmp_path):
@@ -56,3 +63,9 @@ def test_bench_commands_parse(bench_run, tmp_path):
         merge_config(args)
         if args.command == "experiment":
             assert args.name in EXPERIMENT_NAMES
+
+
+def test_bench_workloads_are_the_declared_ones(bench_run):
+    # The benchmark runs exactly the workloads that BENCHMARK.json declares.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert sorted(bench_run.WORKLOADS) == sorted(wl["name"] for wl in declared)

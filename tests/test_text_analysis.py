@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regime_router.text_analysis import (
@@ -14,6 +14,7 @@ from regime_router.text_analysis import (
     RouterFeatures,
     Sentence,
     SentenceFeatures,
+    TextProfile,
     Token,
     TokenizedText,
     assign_regime,
@@ -496,7 +497,7 @@ def reference_proper_noun_spans(t: TokenizedText, lex: Lexicons | None = None) -
 _SPLIT_PIECES = _PIECES + (
     "...", "?!?", "!!", "Mr.", "a.", "X.", "Ph.D.", "etc.", "No.", "e.g. Rome", "J...", "Dr.?", "Mr..",
     "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "\t", " \n ",
-    "Élan", "Ärger", "İstanbul", "ß", "ǅ", "٣", "x", "Q",
+    "Élan", "Ärger", "İstanbul", "ß", "ǅ", "٣", "x", "Q", "ΟΔΟΣ Αθηνών", "Σ",
 )
 _split_texts = st.one_of(
     st.text(max_size=120),
@@ -570,3 +571,27 @@ def test_bridge_profiles_match_the_by_text_features(body, question, custom):
         assert row == sentence_features(s.text, question, i, len(sents), lex).as_vector()
         assert router_row(q, profile, bridge.word_count, lex) == router_features(question, s.text, body, lex).as_vector()
     assert router_row(q, None, bridge.word_count, lex) == router_features(question, "", body, lex).as_vector()
+
+
+def reference_profile(text: str, lex: Lexicons) -> TextProfile:
+    """A text's profile read off the frozen reference's tokens and spans."""
+    toks = reference_tokenize(text, lex)
+    spans = reference_proper_noun_spans(toks, lex)
+    return TextProfile(
+        words=tuple(tok.surface.lower() for tok in toks.tokens),
+        entities=frozenset(normalize_text(span.surface) for span in spans),
+        entity_tokens=sum(span.token_count for span in spans),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_texts, st.sampled_from((None, *_CUSTOM_LEXICONS)))
+@example("Harbor lights shine on the harbor. Harbor lights shine on the Harbor.", None)  # case-sensitive recurrence
+def test_profiles_match_the_frozen_reference(text, custom):
+    lex = default_lexicons() if custom is None else Lexicons(**{**vars(default_lexicons()), **custom})
+    assert profile_text(text, lex) == reference_profile(text, lex)
+    bridge = profile_bridge(text, lex)
+    assert list(bridge.sentences) == reference_split_sentences(text, lex)
+    assert len(bridge.profiles) == len(bridge.sentences)
+    for sent, profile in zip(bridge.sentences, bridge.profiles):
+        assert profile == reference_profile(sent.text, lex)
