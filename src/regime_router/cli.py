@@ -34,6 +34,7 @@ from .embedding_store import (
     DimensionMismatchError,
     EmbedProviderConfig,
     EmbeddingClient,
+    EncoderIdentity,
     MissingEmbeddingError,
     NonFiniteVectorError,
     ProviderError,
@@ -296,9 +297,16 @@ def cmd_embed(args: argparse.Namespace) -> int:
     needed = enumerate_embedding_ids(ds)
 
     store_path = Path(args.store)
+    # A run that names no model has no known encoder, like an RGRV1 store.
+    identity = EncoderIdentity(cfg.model_name, cfg.query_prefix, cfg.doc_prefix) if cfg.model_name else None
     existing: VectorStore | None = None
     if store_path.exists():
         existing = load_vectors(store_path)
+        if None not in (identity, existing.identity) and identity != existing.identity:
+            raise UsageError(
+                f"store {store_path} was embedded with {existing.identity.describe()}, "
+                f"this run asks for {identity.describe()}"
+            )
     missing = [
         (sid, text, mode)
         for sid, text, mode in needed
@@ -313,6 +321,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
     if not cfg.endpoint:
         raise UsageError("an endpoint is required to fetch embeddings (set --endpoint or config)")
+    if existing is not None and existing.identity is not None and identity is None:
+        raise UsageError(
+            f"store {store_path} was embedded with {existing.identity.describe()}; "
+            "name that model (--model-name or config) to add vectors to it"
+        )
     client = EmbeddingClient(cfg.provider(), cache_path=args.cache)
     new_entries: dict[tuple[str, str], object] = {}
     dim = existing.dim if existing is not None else None
@@ -327,7 +340,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
             new_entries[(sid, mode)] = vec
     if dim is None:
         raise ProviderError("provider returned no vectors")
-    store = existing.merged(new_entries) if existing is not None else VectorStore(dim, new_entries)
+    # A top-up keeps the store's identity: the run's, or unknown if the old vectors' encoder is.
+    store = existing.merged(new_entries) if existing is not None else VectorStore(dim, new_entries, identity)
     save_vectors(store, store_path)
     print(f"provider calls: {client.calls}")
     print(f"store size: {len(store)}")

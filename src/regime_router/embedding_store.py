@@ -1,8 +1,16 @@
 """Vector storage and remote embedding retrieval.
 
-Binary store format: magic bytes ``RGRV1``, u32 little-endian dimension,
-then records of (u16 id-length, UTF-8 id, u8 mode, dim x f32
-little-endian). Mode bytes: 0 = query, 1 = doc.
+Binary store format (RGRV2), all integers little-endian: the magic bytes
+``RGRV2``; u32 dimension, u32 record count n and the u32 byte length of a
+UTF-8 JSON encoder identity (``{"model_name", "query_prefix",
+"doc_prefix"}``, or ``null`` when unknown), then that JSON; n mode bytes
+(0 = query, 1 = doc); n u16 id lengths, then the UTF-8 ids; zero padding
+to an 8-byte-aligned offset; and one n x dim f32 block, row i holding
+record i's vector. Records are sorted by (id, mode). A load is thus one
+header parse, one pass over the id table and one f32-to-f64 conversion of
+the block. The legacy RGRV1 layout (u32 dimension, then per record a u16
+id length, the id, the mode byte and dim x f32) still loads, with the
+encoder unknown; only RGRV2 is written.
 
 Every vector is L2-normalized at ingest, so inner products are cosine
 similarities. Evaluation code never fetches implicitly: a run requires a
@@ -10,10 +18,11 @@ fully materialized store, and only the CLI's embed step builds an
 ``EmbeddingClient``.
 
 In memory a store is one read-only n x dim float64 matrix, one row per
-(id, mode) key, plus a dict from key to row. Loading copies each f32
-record into its row and normalizes all rows at once. One kernel,
-``score_rows``, scores: it takes an n x m matrix of candidate rows and one
-or more query-side rows per query, gathers the candidates in chunks of
+(id, mode) key, a dict from key to row, and the encoder identity it was
+loaded or built with. Loading converts the f32 rows and normalizes all
+rows at once. One kernel, ``score_rows``, scores: it takes an n x m
+matrix of candidate rows and one or more query-side rows per query,
+gathers the candidates in chunks of
 about 2 MB and dots each chunk with every side, one BLAS dot per pair.
 A whole protocol's pools are thus scored as one matrix per side,
 gathered once; ``VectorStore.score`` is its one-row case. Norms and
@@ -55,6 +64,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +72,9 @@ from .atomic import atomic_write
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"RGRV1"
+MAGIC = b"RGRV2"
+LEGACY_MAGIC = b"RGRV1"
+_HEADER = struct.Struct("<III")  # dim, record count, identity length
 CACHE_MAGIC = b"RGRC1"
 _CACHE_HEADER = struct.Struct("<32sI")
 MODE_QUERY = "query"
@@ -73,6 +85,17 @@ _BYTE_TO_MODE = {v: k for k, v in _MODE_TO_BYTE.items()}
 
 class VectorFormatError(ValueError):
     """Store file violates the binary layout."""
+
+
+class EncoderIdentity(NamedTuple):
+    """The provider model and mode prefixes a store's vectors were embedded with."""
+
+    model_name: str
+    query_prefix: str
+    doc_prefix: str
+
+    def describe(self) -> str:
+        return json.dumps(self._asdict())
 
 
 class DimensionMismatchError(ValueError):
@@ -154,10 +177,12 @@ class VectorStore:
     """Immutable map from (text-id, mode) to a unit-norm vector.
 
     The vectors are the rows of one read-only f64 matrix; a dict maps each
-    (text-id, mode) key to its row.
+    (text-id, mode) key to its row. ``identity`` names the encoder, or is
+    None when it is unknown.
     """
 
-    def __init__(self, dim: int, entries: dict[tuple[str, str], np.ndarray] | None = None) -> None:
+    def __init__(self, dim: int, entries: dict[tuple[str, str], np.ndarray] | None = None,
+                 identity: EncoderIdentity | None = None) -> None:
         if dim < 1:
             raise DimensionMismatchError("dim must be positive")
         dim = int(dim)
@@ -165,21 +190,23 @@ class VectorStore:
         matrix = np.empty((len(entries), dim))
         for row, (key, values) in enumerate(entries.items()):
             matrix[row] = _as_row(key, values, dim)
-        self._adopt(matrix, {key: row for row, key in enumerate(entries)})
+        self._adopt(matrix, {key: row for row, key in enumerate(entries)}, identity)
 
     @classmethod
-    def _from_matrix(cls, matrix: np.ndarray, rows: dict[tuple[str, str], int]) -> VectorStore:
+    def _from_matrix(cls, matrix: np.ndarray, rows: dict[tuple[str, str], int],
+                     identity: EncoderIdentity | None) -> VectorStore:
         store = cls.__new__(cls)
-        store._adopt(matrix, rows)
+        store._adopt(matrix, rows, identity)
         return store
 
-    def _adopt(self, matrix: np.ndarray, rows: dict[tuple[str, str], int]) -> None:
+    def _adopt(self, matrix: np.ndarray, rows: dict[tuple[str, str], int], identity: EncoderIdentity | None) -> None:
         """Take ownership of raw rows: normalize them in place and freeze them."""
         _normalize_rows(matrix, rows)
         matrix.setflags(write=False)
         self.dim = matrix.shape[1]
         self._matrix = matrix
         self._rows = rows
+        self.identity = identity
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -211,7 +238,8 @@ class VectorStore:
     def merged(self, other_entries: dict[tuple[str, str], np.ndarray]) -> VectorStore:
         """A new store with ``other_entries`` added; an entry replaces the vector of its key.
 
-        Every row of the result, old ones included, is normalized again.
+        Every row of the result, old ones included, is normalized again. The
+        result names this store's encoder.
         """
         rows = dict(self._rows)
         for key in other_entries:
@@ -220,10 +248,11 @@ class VectorStore:
         matrix[: len(self._rows)] = self._matrix
         for key, values in other_entries.items():
             matrix[rows[key]] = _as_row(key, values, self.dim)
-        return VectorStore._from_matrix(matrix, rows)
+        return VectorStore._from_matrix(matrix, rows, self.identity)
 
 
 _SCORE_CHUNK_BYTES = 2 << 20
+_SAVE_CHUNK_BYTES = 1 << 18
 
 
 def score_rows(store: VectorStore, side_rows, candidate_rows) -> np.ndarray:
@@ -249,37 +278,114 @@ def score_rows(store: VectorStore, side_rows, candidate_rows) -> np.ndarray:
 
 
 def save_vectors(store: VectorStore, path: Path | str) -> None:
-    """Write the binary format; records sorted by (id, mode) for determinism.
+    """Write the RGRV2 layout; records sorted by (id, mode) for determinism.
 
-    The file is written beside ``path`` and renamed over it, so a failure
-    mid-write leaves any previous store intact.
+    The header and id table go out in one write, then the f32 block, cast
+    from the sorted rows 256 KB of f64 at a time, so saving adds little to
+    a process's peak memory. The file is written beside ``path`` and
+    renamed over it, so a failure mid-write leaves any previous store
+    intact.
     """
+    keys = sorted(store.keys())
+    ids = [text_id.encode("utf-8") for text_id, _ in keys]
+    longest = max(map(len, ids), default=0)
+    if longest > 0xFFFF:
+        raise VectorFormatError(f"id too long ({longest} bytes)")
+    identity = b"null" if store.identity is None else store.identity.describe().encode("utf-8")
+    head = b"".join([
+        MAGIC,
+        _HEADER.pack(store.dim, len(keys), len(identity)),
+        identity,
+        bytes(_MODE_TO_BYTE[mode] for _, mode in keys),
+        np.array([len(b) for b in ids], dtype="<u2").tobytes(),
+        *ids,
+    ])
+    order = np.fromiter(map(store._rows.__getitem__, keys), dtype=np.intp, count=len(keys))
+    step = max(1, _SAVE_CHUNK_BYTES // (8 * store.dim))
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", store.dim))
-        for (text_id, mode) in sorted(store.keys()):
-            vec = store.get(text_id, mode)
-            id_bytes = text_id.encode("utf-8")
-            if len(id_bytes) > 0xFFFF:
-                raise VectorFormatError(f"id too long ({len(id_bytes)} bytes)")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<B", _MODE_TO_BYTE[mode]))
-            fh.write(vec.astype("<f4").tobytes())
+        fh.write(head + bytes(-len(head) % 8))
+        for lo in range(0, len(order), step):
+            fh.write(store._matrix[order[lo : lo + step]].astype("<f4"))
 
 
 def load_vectors(path: Path | str) -> VectorStore:
-    """Read the binary format into one f64 matrix, renormalizing every row.
+    """Read either layout into one f64 matrix, renormalizing every row.
 
-    The record headers are walked once; then each f32 vector is copied into
-    its row of a preallocated matrix and the file bytes are released before
-    normalization. A duplicate (id, mode), an id that is not UTF-8, a bad
-    mode byte or a truncated record raises ``VectorFormatError``.
+    The file bytes are released before normalization. A bad magic, a
+    truncated file or trailing bytes, a bad mode byte, an id that is not
+    UTF-8 or a duplicate (id, mode) raises ``VectorFormatError``; a
+    non-finite or zero vector raises ``NonFiniteVectorError``.
     """
     data = Path(path).read_bytes()
-    if data[: len(MAGIC)] != MAGIC:
+    parse = {MAGIC: _parse, LEGACY_MAGIC: _parse_legacy}.get(data[: len(MAGIC)])
+    if parse is None:
         raise VectorFormatError("bad magic bytes")
-    off = len(MAGIC)
+    matrix, rows, identity = parse(data)
+    del data
+    return VectorStore._from_matrix(matrix, rows, identity)
+
+
+def _parse_identity(raw: bytes) -> EncoderIdentity | None:
+    try:
+        value = json.loads(raw.decode("utf-8"))
+        if value is None:
+            return None
+        identity = EncoderIdentity(**value)
+        if all(isinstance(field, str) for field in identity):
+            return identity
+    except (ValueError, TypeError):
+        pass
+    raise VectorFormatError(f"bad encoder identity {raw[:200]!r}")
+
+
+def _parse(data: bytes) -> tuple[np.ndarray, dict[tuple[str, str], int], EncoderIdentity | None]:
+    """The f64 rows, key-to-row dict and encoder identity of RGRV2 bytes."""
+    off = len(MAGIC) + _HEADER.size
+    if len(data) < off:
+        raise VectorFormatError("truncated header")
+    dim, n, identity_len = _HEADER.unpack_from(data, len(MAGIC))
+    if dim < 1:
+        raise VectorFormatError("non-positive dimension")
+    ids_at = off + identity_len + 3 * n
+    if len(data) < ids_at:
+        raise VectorFormatError("truncated id table")
+    identity = _parse_identity(data[off : off + identity_len])
+    off += identity_len
+    modes = data[off : off + n]
+    if modes.translate(None, bytes(_BYTE_TO_MODE)):
+        row = next(i for i, byte in enumerate(modes) if byte not in _BYTE_TO_MODE)
+        raise VectorFormatError(f"unknown mode byte {modes[row]} in record {row}")
+    bounds = [0, *np.cumsum(np.frombuffer(data, dtype="<u2", count=n, offset=off + n)).tolist()]
+    ids_end = ids_at + bounds[-1]
+    block_at = ids_end + (-ids_end % 8)
+    size = block_at + 4 * n * dim
+    if len(data) != size:
+        raise VectorFormatError(
+            f"truncated store: {len(data)} bytes of {size}" if len(data) < size
+            else f"{len(data) - size} trailing bytes after the vector block"
+        )
+    if data[ids_end:block_at].strip(b"\x00"):
+        raise VectorFormatError("non-zero padding before the vector block")
+    blob = data[ids_at:ids_end]
+    ids = []
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        try:
+            ids.append(blob[lo:hi].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise VectorFormatError(f"id of record {row} is not valid UTF-8") from None
+    keys = list(zip(ids, map(_BYTE_TO_MODE.__getitem__, modes)))
+    rows = dict(zip(keys, range(n)))
+    if len(rows) != n:
+        seen: set[tuple[str, str]] = set()
+        text_id, mode = next(key for key in keys if key in seen or seen.add(key))
+        raise VectorFormatError(f"duplicate record for id {text_id!r} in mode {mode!r}")
+    matrix = np.frombuffer(data, dtype="<f4", count=n * dim, offset=block_at).reshape(n, dim).astype(float)
+    return matrix, rows, identity
+
+
+def _parse_legacy(data: bytes) -> tuple[np.ndarray, dict[tuple[str, str], int], None]:
+    """The f64 rows and key-to-row dict of RGRV1 bytes, one record at a time; no encoder is named."""
+    off = len(LEGACY_MAGIC)
     if len(data) < off + 4:
         raise VectorFormatError("truncated header")
     (dim,) = struct.unpack_from("<I", data, off)
@@ -313,8 +419,7 @@ def load_vectors(path: Path | str) -> VectorStore:
     matrix = np.empty((len(starts), dim))
     for row, start in enumerate(starts):
         matrix[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=start)
-    del data
-    return VectorStore._from_matrix(matrix, rows)
+    return matrix, rows, None
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,8 @@ class PoolIndex:
         without distractors.
         """
         out = np.full((3, len(self.sizes)), np.nan)
-        for size in np.unique(self.sizes[self.sizes > 0]):
+        # Distinct pool sizes in ascending order; np.unique would import numpy.ma.
+        for size in sorted(set(self.sizes[self.sizes > 0].tolist())):
             rows = np.flatnonzero(self.sizes == size)
             out[:, rows] = pool_margins(scores[rows, 0], scores[rows, 1 : 1 + size])
         return out

@@ -86,8 +86,7 @@ def default_lexicons() -> Lexicons:
     )
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     text: str
     start: int
     end: int

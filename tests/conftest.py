@@ -21,6 +21,8 @@ knockout world (100 queries)
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ from regime_router.embedding_store import (
 )
 from regime_router.cli import enumerate_embedding_ids
 from regime_router.selector import AnnotatedBridge
+
+
+def rgrv1_bytes(store: VectorStore) -> bytes:
+    """The legacy RGRV1 layout of ``store``: magic, u32 dim, then per sorted
+    (id, mode) a u16 id length, the id, the mode byte and the f32 vector."""
+    out = [b"RGRV1", struct.pack("<I", store.dim)]
+    for text_id, mode in sorted(store.keys()):
+        id_bytes = text_id.encode("utf-8")
+        out += [struct.pack("<H", len(id_bytes)), id_bytes, bytes([{"query": 0, "doc": 1}[mode]])]
+        out.append(store.get(text_id, mode).astype("<f4").tobytes())
+    return b"".join(out)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rgrv1_bytes
 
 from regime_router import cli
 from regime_router.cli import (
@@ -22,7 +25,7 @@ from regime_router.cli import (
     merge_config,
 )
 from regime_router.corpus import save_dataset
-from regime_router.embedding_store import load_vectors, save_vectors
+from regime_router.embedding_store import EncoderIdentity, VectorStore, load_vectors, save_vectors
 from regime_router.linear_model import save_model
 from regime_router.router_retrieval import clip_alpha
 from regime_router.selector import train_selector
@@ -323,6 +326,58 @@ def test_embed_dry_run_full_store(world_dir, capsys):
     assert "missing embeddings: 0" in capsys.readouterr().out
 
 
+STANDIN = EncoderIdentity("standin-v1", "query: ", "passage: ")
+
+
+def _store_copy(world_dir, path, identity, drop=0):
+    """Save the world's store without its first ``drop`` keys, naming ``identity``."""
+    store = load_vectors(world_dir / "store.bin")
+    keys = sorted(store.keys())[drop:]
+    save_vectors(VectorStore(store.dim, {key: store.get(*key) for key in keys}, identity), path)
+    return path
+
+
+@pytest.fixture
+def named_store(world_dir, tmp_path):
+    """A copy of the world's store that records the ``STANDIN`` encoder."""
+    return _store_copy(world_dir, tmp_path / "named.bin", STANDIN)
+
+
+def _embed_dry_run(world_dir, store, *flags):
+    return main(["embed", "--dataset", str(world_dir / "data"), "--store", str(store), "--dry-run", *flags])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model-name", "some-other-encoder", "--query-prefix", "other: "],
+    ["--model-name", "standin-v1", "--query-prefix", "query: "],
+    ["--model-name", "standin-v1", "--query-prefix", "query: ", "--doc-prefix", "doc: "],
+])
+def test_embed_refuses_a_store_of_another_encoder(world_dir, named_store, capsys, flags):
+    before = named_store.read_bytes()
+    assert _embed_dry_run(world_dir, named_store, *flags) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    asked = EncoderIdentity(flags[1], flags[3], flags[5] if len(flags) > 4 else "")
+    assert line.startswith("error: ")
+    assert STANDIN.describe() in line and asked.describe() in line
+    assert named_store.read_bytes() == before
+
+
+def test_embed_accepts_a_store_of_the_same_encoder(world_dir, named_store, capsys):
+    flags = ["--model-name", "standin-v1", "--query-prefix", "query: ", "--doc-prefix", "passage: "]
+    assert _embed_dry_run(world_dir, named_store, *flags) == EXIT_OK
+    assert "missing embeddings: 0" in capsys.readouterr().out
+
+
+def test_embed_dry_run_without_a_model_checks_nothing(world_dir, routing_world, named_store, capsys):
+    ds, _, _ = routing_world
+    assert _embed_dry_run(world_dir, named_store) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == f"texts needed: {len(enumerate_embedding_ids(ds))}\nmissing embeddings: 0\n"
+    assert err == ""
+
+
 def test_embed_requires_endpoint_when_fetching(world_dir, tmp_path):
     code = main(
         [
@@ -363,6 +418,7 @@ def test_embed_fetches_and_extends(world_dir, tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "provider calls: 2" in out  # one fetch per mode
     store = load_vectors(store_path)
+    assert store.identity is None
     ds_ids = enumerate_embedding_ids(
         __import__("regime_router.corpus", fromlist=["load_dataset"]).load_dataset(
             world_dir / "data"
@@ -383,6 +439,61 @@ def test_embed_fetches_and_extends(world_dir, tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     assert "missing embeddings: 0" in capsys.readouterr().out
     assert store_path.read_bytes() == before
+
+
+class _OnesClient:
+    """A provider stand-in that returns all-ones vectors and counts its fetches."""
+
+    calls = 0
+
+    def __init__(self, cfg, cache_path=None, transport=None):
+        pass
+
+    def fetch(self, texts, mode, expected_dim=None):
+        type(self).calls += 1
+        return [np.ones(expected_dim or 3) for _ in texts]
+
+
+def test_embed_names_the_run_encoder_in_the_store(world_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("regime_router.cli.EmbeddingClient", _OnesClient)
+    store_path = tmp_path / "built.bin"
+    base = ["embed", "--dataset", str(world_dir / "data"), "--store", str(store_path),
+            "--endpoint", "https://provider.test/embed"]
+    assert main([*base, "--model-name", "fake-1", "--doc-prefix", "d: "]) == EXIT_OK
+    assert load_vectors(store_path).identity == EncoderIdentity("fake-1", "", "d: ")
+    before = store_path.read_bytes()
+    assert main([*base, "--model-name", "fake-2", "--doc-prefix", "d: "]) == EXIT_USAGE
+    assert "fake-1" in capsys.readouterr().err
+    assert store_path.read_bytes() == before
+
+
+def test_embed_without_a_model_refuses_to_add_to_a_named_store(world_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("regime_router.cli.EmbeddingClient", _OnesClient)
+    monkeypatch.setattr(_OnesClient, "calls", 0)
+    store_path = _store_copy(world_dir, tmp_path / "named.bin", STANDIN, drop=3)
+    before = store_path.read_bytes()
+    base = ["embed", "--dataset", str(world_dir / "data"), "--store", str(store_path),
+            "--endpoint", "https://provider.test/embed"]
+    assert main(base) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and STANDIN.describe() in line
+    assert (store_path.read_bytes(), _OnesClient.calls) == (before, 0)
+    # Naming the store's encoder adds the missing vectors under it.
+    named = ["--model-name", "standin-v1", "--query-prefix", "query: ", "--doc-prefix", "passage: "]
+    assert main([*base, *named]) == EXIT_OK
+    assert "store size:" in capsys.readouterr().out
+    assert load_vectors(store_path).identity == STANDIN
+
+
+def test_embed_keeps_an_unknown_encoder_unknown(world_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("regime_router.cli.EmbeddingClient", _OnesClient)
+    store_path = _store_copy(world_dir, tmp_path / "legacy.bin", None, drop=3)
+    store_path.write_bytes(rgrv1_bytes(load_vectors(store_path)))
+    assert main(["embed", "--dataset", str(world_dir / "data"), "--store", str(store_path),
+                 "--endpoint", "https://provider.test/embed", "--model-name", "fake-1"]) == EXIT_OK
+    assert "provider calls:" in capsys.readouterr().out
+    topped_up = load_vectors(store_path)
+    assert (len(topped_up), topped_up.identity) == (len(load_vectors(world_dir / "store.bin")), None)
 
 
 def test_embed_rejects_legacy_json_cache(world_dir, tmp_path, capsys):
@@ -534,6 +645,24 @@ def eval_args(world_dir, trained_dir, out_dir, *extra):
         "--out-dir", str(out_dir),
         *extra,
     ]
+
+
+def test_eval_does_not_import_numpy_ma(world_dir, trained_dir, tmp_path):
+    # ``np.unique`` imports ``numpy.ma`` on first use, 8-22 ms of CPU in each
+    # fresh CLI process; eval must not need it.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from regime_router import cli; "
+        "assert cli.main(sys.argv[2:]) == 0; print('numpy.ma' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), *eval_args(world_dir, trained_dir, tmp_path / "eval")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_eval_writes_report_trace_csv(world_dir, trained_dir, tmp_path, capsys):
@@ -702,7 +831,7 @@ def test_eval_corrupt_store_exit_code(world_dir, trained_dir, tmp_path):
 
 
 def test_eval_duplicate_store_record_exit_code(world_dir, trained_dir, tmp_path, capsys):
-    raw = (world_dir / "store.bin").read_bytes()
+    raw = rgrv1_bytes(load_vectors(world_dir / "store.bin"))
     dim = int.from_bytes(raw[5:9], "little")
     id_len = int.from_bytes(raw[9:11], "little")
     first = raw[9 : 11 + id_len + 1 + 4 * dim]

@@ -1,5 +1,6 @@
 import functools
 import logging
+import struct
 import sys
 import tempfile
 import threading
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rgrv1_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from regime_router.embedding_store import (
     ProviderError,
     TransportError,
     CACHE_MAGIC,
+    EncoderIdentity,
     VectorFormatError,
     VectorStore,
     load_vectors,
@@ -149,11 +152,13 @@ def test_load_rejects_truncation(tmp_path):
         load_vectors(bad)
 
 
+# An RGRV2 store without an encoder identity: magic(5) + dim, n, identity length(12) + b"null".
+_TABLE = 5 + 12 + 4
+
+
 def test_load_rejects_unknown_mode_byte(tmp_path):
     store = VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])})
-    path = tmp_path / "v.bin"
-    save_vectors(store, path)
-    raw = bytearray(path.read_bytes())
+    raw = bytearray(rgrv1_bytes(store))
     # mode byte sits right after magic(5) + dim(4) + idlen(2) + id(2)
     raw[5 + 4 + 2 + 2] = 9
     bad = tmp_path / "mode.bin"
@@ -162,11 +167,22 @@ def test_load_rejects_unknown_mode_byte(tmp_path):
         load_vectors(bad)
 
 
+def test_load_rejects_unknown_mode_byte_rgrv2(tmp_path):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0]), ("cd", "doc"): np.array([0.0, 1.0])}), path)
+    raw = bytearray(path.read_bytes())
+    assert raw[_TABLE : _TABLE + 2] == b"\x00\x01"
+    raw[_TABLE + 1] = 9
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VectorFormatError, match="unknown mode byte 9 in record 1"):
+        load_vectors(path)
+
+
 def test_failed_save_leaves_old_store(tmp_path):
     path = tmp_path / "v.bin"
     save_vectors(VectorStore(2, {("old", "doc"): np.array([1.0, 0.0])}), path)
     before = path.read_bytes()
-    # The over-long id sorts after "aa", so the write fails after one record.
+    # The over-long id fails the save before any byte is written.
     bad = VectorStore(2, {("aa", "doc"): np.array([0.0, 1.0]), ("z" * 70_000, "doc"): np.array([1.0, 1.0])})
     with pytest.raises(VectorFormatError, match="too long"):
         save_vectors(bad, path)
@@ -178,12 +194,22 @@ def test_failed_save_leaves_old_store(tmp_path):
 def test_load_rejects_duplicate_record(tmp_path):
     store = VectorStore(2, {("ab", "query"): np.array([1.0, 0.0]), ("cd", "doc"): np.array([0.0, 1.0])})
     path = tmp_path / "v.bin"
-    save_vectors(store, path)
-    raw = path.read_bytes()
+    raw = rgrv1_bytes(store)
     # The first record, ("ab", "query"): id length, id, mode byte, 2 x f32.
     first = raw[9 : 9 + 2 + 2 + 1 + 4 * 2]
     path.write_bytes(raw + first)
     with pytest.raises(VectorFormatError, match="duplicate record for id 'ab'"):
+        load_vectors(path)
+
+
+def test_load_rejects_duplicate_record_rgrv2(tmp_path):
+    store = VectorStore(2, {("ab", "query"): np.array([1.0, 0.0]), ("cd", "query"): np.array([0.0, 1.0])})
+    path = tmp_path / "v.bin"
+    save_vectors(store, path)
+    raw = path.read_bytes()
+    assert raw.count(b"cd") == 1
+    path.write_bytes(raw.replace(b"cd", b"ab"))
+    with pytest.raises(VectorFormatError, match="duplicate record for id 'ab' in mode 'query'"):
         load_vectors(path)
 
 
@@ -195,36 +221,125 @@ def test_save_writes_an_overridden_key_once(tmp_path):
     again = load_vectors(path)
     assert sorted(again.keys()) == [("ab", "query"), ("cd", "doc")]
     assert again.get("ab", "query").tolist() == [0.0, 1.0]
-    assert path.stat().st_size == 9 + 2 * (2 + 2 + 1 + 4 * 2)
+    # Two mode bytes, two id lengths and two 2-byte ids, padded to 8, then 2 x 2 f32.
+    assert path.stat().st_size == 32 + 2 * 4 * 2
+    legacy = rgrv1_bytes(bigger)
+    assert len(legacy) == 9 + 2 * (2 + 2 + 1 + 4 * 2)
+    path.write_bytes(legacy)
+    assert sorted(load_vectors(path).keys()) == [("ab", "query"), ("cd", "doc")]
 
 
 def test_load_rejects_invalid_utf8_id(tmp_path):
     path = tmp_path / "v.bin"
-    save_vectors(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])}), path)
-    raw = bytearray(path.read_bytes())
+    raw = bytearray(rgrv1_bytes(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])})))
     raw[5 + 4 + 2] = 0xFF  # first byte of the id
     path.write_bytes(bytes(raw))
     with pytest.raises(VectorFormatError, match="offset 11 is not valid UTF-8"):
         load_vectors(path)
 
 
-@functools.lru_cache(maxsize=1)
-def _small_store_bytes() -> bytes:
+def test_load_rejects_invalid_utf8_id_rgrv2(tmp_path):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0]), ("\u00e9", "doc"): np.array([0.0, 1.0])}), path)
+    raw = bytearray(path.read_bytes())
+    ids_at = _TABLE + 2 + 2 * 2
+    assert raw[ids_at : ids_at + 4] == "ab\u00e9".encode("utf-8")
+    raw[ids_at + 2] = 0xFF  # first byte of the second id
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VectorFormatError, match="id of record 1 is not valid UTF-8"):
+        load_vectors(path)
+
+
+def test_load_rejects_trailing_bytes_and_bad_padding(tmp_path):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])}), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(VectorFormatError, match="1 trailing bytes"):
+        load_vectors(path)
+    pad_at = _TABLE + 1 + 2 + 2
+    assert raw[pad_at:32] == bytes(32 - pad_at)
+    path.write_bytes(raw[:pad_at] + b"\x01" + raw[pad_at + 1 :])
+    with pytest.raises(VectorFormatError, match="padding"):
+        load_vectors(path)
+
+
+@pytest.mark.parametrize("identity", [b"{}", b"[1, 2, 3]", b'{"model_name": 1, "query_prefix": "", "doc_prefix": ""}',
+                                      b"{nul", b"\xff\xfe\xfd\xfc"])
+def test_load_rejects_a_bad_encoder_identity(tmp_path, identity):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])}), path)
+    raw = path.read_bytes()
+    header = b"RGRV2" + struct.pack("<III", 2, 1, len(identity)) + identity
+    table = raw[_TABLE : _TABLE + 5]
+    pad = bytes(-(len(header) + len(table)) % 8)
+    path.write_bytes(header + table + pad + raw[32:])
+    with pytest.raises(VectorFormatError, match="encoder identity"):
+        load_vectors(path)
+
+
+def test_store_keeps_its_encoder_identity(tmp_path):
+    ident = EncoderIdentity("embed-small", "query: ", "passage: ")
+    store = VectorStore(2, {("ab", "query"): np.array([1.0, 0.0])}, identity=ident)
+    path = tmp_path / "v.bin"
+    save_vectors(store, path)
+    raw = path.read_bytes()
+    assert b'{"model_name": "embed-small", "query_prefix": "query: ", "doc_prefix": "passage: "}' in raw
+    loaded = load_vectors(path)
+    assert loaded.identity == ident
+    assert loaded.merged({("cd", "doc"): np.ones(2)}).identity == ident
+    assert VectorStore(2).identity is None
+    path.write_bytes(rgrv1_bytes(store))
+    assert load_vectors(path).identity is None
+
+
+@pytest.mark.parametrize("dim", [1, 3, 768])
+def test_both_layouts_load_bit_identical_rows(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    entries = {(f"p::{i}", "doc"): rng.normal(size=dim) * rng.uniform(1e-3, 1e3) for i in range(40)}
+    entries.update({(f"q::{i}\u00e9", "query"): rng.normal(size=dim) for i in range(25)})
+    entries[("p::3", "query")] = rng.normal(size=dim)
+    built = VectorStore(dim, entries)
+    save_vectors(built, tmp_path / "v2.bin")
+    (tmp_path / "v1.bin").write_bytes(rgrv1_bytes(built))
+    new, old = load_vectors(tmp_path / "v2.bin"), load_vectors(tmp_path / "v1.bin")
+    assert list(new.keys()) == list(old.keys()) == sorted(entries)
+    for key in entries:
+        assert new.get(*key).tobytes() == old.get(*key).tobytes()
+    # The f32 payload is the same bytes in both files, in the same order.
+    v2 = (tmp_path / "v2.bin").read_bytes()
+    assert v2[-4 * dim * len(entries) :] == b"".join(
+        built.get(*key).astype("<f4").tobytes() for key in sorted(entries)
+    )
+
+
+def test_empty_store_round_trips(tmp_path):
+    path = tmp_path / "v.bin"
+    save_vectors(VectorStore(5), path)
+    again = load_vectors(path)
+    assert (len(again), again.dim, again.identity) == (0, 5, None)
+
+
+@functools.lru_cache(maxsize=2)
+def _small_store_bytes(layout: str) -> bytes:
     entries = {
         ("\u00e9t\u00e9", "query"): np.array([1.0, 2.0, 3.0]),
         ("\u00e9t\u00e9", "doc"): np.array([0.0, 1.0, 0.0]),
         ("p::a", "doc"): np.array([-1.0, 0.5, 0.25]),
     }
+    store = VectorStore(3, entries, identity=EncoderIdentity("m", "q: ", ""))
+    if layout == "RGRV1":
+        return rgrv1_bytes(store)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "v.bin"
-        save_vectors(VectorStore(3, entries), path)
+        save_vectors(store, path)
         return path.read_bytes()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_damaged_store_loads_or_raises_a_store_error(data):
-    raw = bytearray(_small_store_bytes())
+    raw = bytearray(_small_store_bytes(data.draw(st.sampled_from(["RGRV2", "RGRV1"]), label="layout")))
     if data.draw(st.booleans(), label="cut"):
         raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut at")]
     else:
